@@ -112,9 +112,11 @@ fn info(procid: u64) -> ProcessInfo {
 
 fn wait_synced(agent: &LiveAgent, epoch: u64) {
     assert!(
-        agent.wait_for_epoch(epoch, Duration::from_secs(30)),
+        agent
+            .uplink()
+            .wait_for_epoch(epoch, Duration::from_secs(30)),
         "agent re-synced (status {:?})",
-        agent.status()
+        agent.uplink().status()
     );
 }
 
@@ -147,11 +149,13 @@ fn bench_sever_reconnect(trials: usize) -> Vec<f64> {
         let start = Instant::now();
         fe.bus().sever();
         let target = (trial + 1) as u64;
-        while agent.reconnects() < target || agent.status() != ConnStatus::Connected {
+        while agent.uplink().reconnects() < target
+            || agent.uplink().status() != ConnStatus::Connected
+        {
             assert!(
                 start.elapsed() < Duration::from_secs(30),
                 "reconnect stalled (status {:?})",
-                agent.status()
+                agent.uplink().status()
             );
             std::thread::sleep(Duration::from_micros(200));
         }

@@ -2,9 +2,7 @@
 //! unpack all, serialize, and deserialize, as a function of the number of
 //! 8-byte tuples already in the baggage (1–256).
 //!
-//! This binary prints quick timing-loop results; for statistically robust
-//! numbers run the criterion bench: `cargo bench -p pivot-bench --bench
-//! baggage`.
+//! Timing-loop results; raise `--iters` for tighter numbers.
 //!
 //! ```text
 //! cargo run -p pivot-bench --bin fig10 --release -- [--iters 2000]

@@ -33,7 +33,7 @@
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,20 +47,9 @@ use pivot_core::{
 use pivot_query::CompiledCode;
 
 use crate::frame::{read_frame, write_frame};
-use crate::proto::{
-    decode_message_versioned, encode_message, encode_message_v, Message, MIN_PROTO_VERSION,
-    PROTO_VERSION,
-};
-
-/// Stamps a pre-encoded frame with the version negotiated for one peer.
-///
-/// Valid only for message kinds whose payload is identical across every
-/// supported protocol version — commands, syncs and goodbyes, i.e.
-/// everything the server broadcasts. Reports carry versioned constructs
-/// and must go through [`encode_message_v`] instead.
-fn stamp_version(payload: &mut [u8], peer_version: u8) {
-    payload[0] = peer_version.clamp(MIN_PROTO_VERSION, PROTO_VERSION);
-}
+use crate::proto::{decode_message, encode_message, Message};
+pub use crate::uplink::{ConnStatus, ReconnectPolicy};
+use crate::uplink::{Uplink, UplinkHandler};
 
 /// One connected agent, from the server's point of view.
 struct Peer {
@@ -70,11 +59,6 @@ struct Peer {
     /// Set if registration came via `HelloRelay`: the peer is a fan-in
     /// relay speaking for a subtree, not a leaf agent.
     relay: Arc<AtomicBool>,
-    /// Highest protocol version seen from this peer (max-latched from the
-    /// version byte of every frame it sends, starting at the floor).
-    /// Frames sent back to the peer are stamped with it so a down-level
-    /// agent never receives a frame it cannot decode.
-    version: Arc<AtomicU8>,
 }
 
 struct BusInner {
@@ -231,15 +215,15 @@ impl TcpBusServer {
         *self.inner.installed.lock() = queries.clone();
         *self.inner.budgets.lock() = budgets.clone();
         let epoch = self.inner.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut payload = encode_message(&Message::Sync {
+        let payload = encode_message(&Message::Sync {
             epoch,
             queries,
             budgets,
         });
-        self.inner.peers.lock().retain(|peer| {
-            stamp_version(&mut payload, peer.version.load(Ordering::SeqCst));
-            write_frame(&mut *peer.writer.lock(), &payload).is_ok()
-        });
+        self.inner
+            .peers
+            .lock()
+            .retain(|peer| write_frame(&mut *peer.writer.lock(), &payload).is_ok());
     }
 
     /// Abruptly severs every live connection *without* a `Goodbye`, while
@@ -262,9 +246,8 @@ impl TcpBusServer {
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.inner.addr);
-        let mut bye = encode_message(&Message::Goodbye);
+        let bye = encode_message(&Message::Goodbye);
         for peer in self.inner.peers.lock().drain(..) {
-            stamp_version(&mut bye, peer.version.load(Ordering::SeqCst));
             let mut w = peer.writer.lock();
             let _ = write_frame(&mut *w, &bye);
             let _ = w.shutdown(Shutdown::Both);
@@ -298,13 +281,13 @@ impl Bus for TcpBusServer {
             }
         }
         self.inner.epoch.fetch_add(1, Ordering::SeqCst);
-        let mut payload = encode_message(&Message::Command(cmd.clone()));
+        let payload = encode_message(&Message::Command(cmd.clone()));
         // Drop peers whose connection is gone; the write error is the
         // only signal a crashed agent leaves behind.
-        self.inner.peers.lock().retain(|peer| {
-            stamp_version(&mut payload, peer.version.load(Ordering::SeqCst));
-            write_frame(&mut *peer.writer.lock(), &payload).is_ok()
-        });
+        self.inner
+            .peers
+            .lock()
+            .retain(|peer| write_frame(&mut *peer.writer.lock(), &payload).is_ok());
     }
 
     fn drain_reports(&self, _now: u64) -> Vec<Report> {
@@ -332,16 +315,14 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<BusInner>) {
             writer: Arc::new(Mutex::new(write_half)),
             info: Arc::new(Mutex::new(None)),
             relay: Arc::new(AtomicBool::new(false)),
-            version: Arc::new(AtomicU8::new(MIN_PROTO_VERSION)),
         };
         let writer = Arc::clone(&peer.writer);
         let info = Arc::clone(&peer.info);
         let relay = Arc::clone(&peer.relay);
-        let version = Arc::clone(&peer.version);
         let reader_inner = Arc::clone(inner);
         inner.peers.lock().push(peer);
         std::thread::spawn(move || {
-            peer_reader(stream, &writer, &info, &relay, &version, &reader_inner);
+            peer_reader(stream, &writer, &info, &relay, &reader_inner);
         });
     }
 }
@@ -349,26 +330,20 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<BusInner>) {
 /// Per-connection reader: registers the peer on `Hello` (answering with
 /// an epoch-tagged `Sync` of the full installed-query set), collects its
 /// reports, and exits on `Goodbye`, EOF, or a protocol violation (closing
-/// the connection — malformed frames from live peers are a fault, not
-/// something to silently skip). EOF without a preceding `Goodbye` is
-/// tallied as a *lost* peer, not a clean close.
+/// the connection — malformed frames from live peers, including frames
+/// stamped with another wire version, are a fault, not something to
+/// silently skip). EOF without a preceding `Goodbye` is tallied as a
+/// *lost* peer, not a clean close.
 fn peer_reader(
     mut stream: TcpStream,
     writer: &Arc<Mutex<TcpStream>>,
     info: &Arc<Mutex<Option<ProcessInfo>>>,
     relay: &Arc<AtomicBool>,
-    version: &Arc<AtomicU8>,
     inner: &Arc<BusInner>,
 ) {
     let mut orderly = false;
     while let Ok(payload) = read_frame(&mut stream) {
-        let msg = decode_message_versioned(&payload).map(|(v, msg)| {
-            // Every frame advertises the sender's version; max-latch it
-            // so replies (and later broadcasts) speak the peer's dialect.
-            version.fetch_max(v, Ordering::SeqCst);
-            msg
-        });
-        match msg {
+        match decode_message(&payload) {
             Ok(msg @ (Message::Hello(_) | Message::HelloRelay(_))) => {
                 let is_relay = matches!(msg, Message::HelloRelay(_));
                 let (Message::Hello(process) | Message::HelloRelay(process)) = msg else {
@@ -387,8 +362,7 @@ fn peer_reader(
                         budgets,
                     }
                 };
-                let sync = encode_message_v(&sync, version.load(Ordering::SeqCst));
-                if write_frame(&mut *writer.lock(), &sync).is_err() {
+                if write_frame(&mut *writer.lock(), &encode_message(&sync)).is_err() {
                     break;
                 }
             }
@@ -416,132 +390,23 @@ fn peer_reader(
         .retain(|p| Arc::as_ptr(&p.writer) != dead);
 }
 
-/// Connection state of a [`LiveAgent`], distinguishing *orderly* closes
-/// from *lost* connections. Historically the agent's reader treated any
-/// closed socket as a clean shutdown and exited silently; a killed bus or
-/// severed link now surfaces as `Reconnecting`/`Lost` instead.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ConnStatus {
-    /// Connected and registered.
-    Connected,
-    /// Connection lost; reconnection attempts in progress.
-    Reconnecting,
-    /// Closed on purpose: local shutdown, or the server said `Goodbye`.
-    Closed,
-    /// Connection lost for good (reconnection disabled or exhausted).
-    /// An error status — tuples emitted in this state never reach the
-    /// frontend.
-    Lost,
-}
-
-impl ConnStatus {
-    /// `true` for the error state ([`ConnStatus::Lost`]).
-    pub fn is_error(self) -> bool {
-        self == ConnStatus::Lost
-    }
-}
-
-/// Reconnection behaviour of a [`LiveAgent`]: capped exponential backoff
-/// with deterministic jitter (drawn from [`pivot_simrt::mix64`], keyed by
-/// `jitter_seed ^ attempt` — never from wall time, so retry schedules are
-/// reproducible given the seed).
-#[derive(Clone, Copy, Debug)]
-pub struct ReconnectPolicy {
-    /// Attempts before giving up and going [`ConnStatus::Lost`].
-    pub max_attempts: u32,
-    /// First retry delay; doubles each attempt.
-    pub base_delay: Duration,
-    /// Upper bound on the exponential portion.
-    pub max_delay: Duration,
-    /// Seed for the deterministic jitter term.
-    pub jitter_seed: u64,
-}
-
-impl ReconnectPolicy {
-    /// A practical default: 10 attempts, 10 ms doubling to a 500 ms cap.
-    pub fn new(jitter_seed: u64) -> ReconnectPolicy {
-        ReconnectPolicy {
-            max_attempts: 10,
-            base_delay: Duration::from_millis(10),
-            max_delay: Duration::from_millis(500),
-            jitter_seed,
-        }
-    }
-
-    /// No reconnection: the first lost connection goes straight to
-    /// [`ConnStatus::Lost`].
-    pub fn disabled() -> ReconnectPolicy {
-        ReconnectPolicy {
-            max_attempts: 0,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            jitter_seed: 0,
-        }
-    }
-
-    /// Delay before attempt `attempt` (0-based): `min(base · 2^attempt,
-    /// max)` plus a deterministic jitter in `[0, base]`. Public so the
-    /// relay tier's upstream client retries on the same schedule as a
-    /// leaf agent.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let exp = self
-            .base_delay
-            .saturating_mul(1u32 << attempt.min(16))
-            .min(self.max_delay);
-        let spread = self.base_delay.as_nanos() as u64;
-        let jitter = match spread {
-            0 => 0,
-            s => pivot_simrt::mix64(self.jitter_seed ^ u64::from(attempt)) % (s + 1),
-        };
-        exp + Duration::from_nanos(jitter)
-    }
-}
-
-/// State shared by a [`LiveAgent`]'s handle and service threads.
-struct LiveShared {
-    agent: Arc<Agent>,
-    info: ProcessInfo,
-    addr: SocketAddr,
-    /// The live write half; replaced in place on reconnect.
-    writer: Mutex<TcpStream>,
-    status: Mutex<ConnStatus>,
-    /// Last install epoch observed in a `Sync` frame.
-    epoch: AtomicU64,
-    /// Successful reconnections.
-    reconnects: AtomicU64,
-    /// Highest protocol version seen from the server this connection
-    /// (max-latched from received frames, reset to the floor on
-    /// reconnect). Reports are encoded at this version, so encoded row
-    /// blocks are transcoded down for a v5 server.
-    peer_version: AtomicU8,
-    stop: AtomicBool,
-    policy: ReconnectPolicy,
-}
-
-impl LiveShared {
-    fn set_status(&self, s: ConnStatus) {
-        *self.status.lock() = s;
-    }
-}
-
-/// A per-process agent connected to the TCP bus.
-///
-/// Owns the process's [`Agent`] (registry + local aggregation) plus two
-/// service threads: a reader applying incoming weave/unweave commands
-/// (and `Sync` re-syncs) and a reporter flushing partial results every
-/// `report_interval` (the paper's default is one second; tests use much
-/// shorter). If the connection dies without a `Goodbye`, the reader
-/// reconnects per the [`ReconnectPolicy`]; the agent's registry, buffers,
-/// and report sequence numbers survive, so recovery never double-counts.
+/// A per-process agent connected to the TCP bus: the process's [`Agent`]
+/// (registry + local aggregation) plus an [`Uplink`] whose reader applies
+/// incoming weave/unweave commands and `Sync` re-syncs, and whose flusher
+/// sends partial results every `report_interval` (the paper's default is
+/// one second; tests use much shorter). If the connection dies without a
+/// `Goodbye`, the uplink reconnects per the [`ReconnectPolicy`]; the
+/// agent's registry, buffers, and report sequence numbers survive, so
+/// recovery never double-counts.
 pub struct LiveAgent {
-    shared: Arc<LiveShared>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    agent: Arc<Agent>,
+    uplink: Uplink,
 }
 
 impl LiveAgent {
     /// Connects to the bus at `addr`, registers `info`, and starts the
-    /// reader and reporter threads, with reconnection enabled (jitter
-    /// seeded from the process id).
+    /// uplink, with reconnection enabled (jitter seeded from the process
+    /// id).
     pub fn connect(
         addr: SocketAddr,
         info: ProcessInfo,
@@ -558,122 +423,34 @@ impl LiveAgent {
         report_interval: Duration,
         policy: ReconnectPolicy,
     ) -> io::Result<LiveAgent> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let agent = Arc::new(Agent::new(info.clone()));
-        let writer = stream.try_clone()?;
-        let shared = Arc::new(LiveShared {
-            agent,
-            info,
-            addr,
-            writer: Mutex::new(writer),
-            status: Mutex::new(ConnStatus::Connected),
-            epoch: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            peer_version: AtomicU8::new(MIN_PROTO_VERSION),
-            stop: AtomicBool::new(false),
-            policy,
-        });
-        write_frame(
-            &mut *shared.writer.lock(),
-            &encode_message(&Message::Hello(shared.info.clone())),
-        )?;
-
-        let mut threads = Vec::new();
-        let reader_shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
-            reader_loop(stream, &reader_shared);
-        }));
-
-        let reporter_shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || {
-            // Interruptible sleep: shutdown() must not wait out a long
-            // reporting interval.
-            while !sleep_unless_stopped(report_interval, &reporter_shared.stop) {
-                flush_if_connected(&reporter_shared);
-            }
-            // Final flush so short-lived processes still report.
-            flush_if_connected(&reporter_shared);
-        }));
-
-        Ok(LiveAgent {
-            shared,
-            threads: Mutex::new(threads),
-        })
+        let agent = Arc::new(Agent::new(info));
+        let uplink = Uplink::connect(addr, report_interval, policy, agent.clone())?;
+        Ok(LiveAgent { agent, uplink })
     }
 
     /// The process-local agent: invoke tracepoints against it (usually
     /// via [`crate::tracepoint`]).
     pub fn agent(&self) -> &Arc<Agent> {
-        &self.shared.agent
+        &self.agent
     }
 
-    /// Current connection status. [`ConnStatus::Lost`] is an error: the
-    /// agent is emitting into buffers nothing will ever drain to the
-    /// frontend.
-    pub fn status(&self) -> ConnStatus {
-        *self.shared.status.lock()
-    }
-
-    /// The last install epoch observed in a `Sync` frame (0 before the
-    /// first sync arrives).
-    pub fn epoch(&self) -> u64 {
-        self.shared.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Successful reconnections so far.
-    pub fn reconnects(&self) -> u64 {
-        self.shared.reconnects.load(Ordering::SeqCst)
-    }
-
-    /// The protocol version max-latched from the server's frames on the
-    /// *current* connection (reset to [`MIN_PROTO_VERSION`] on every
-    /// reconnect, since a restarted server may speak an older dialect).
-    pub fn negotiated_version(&self) -> u8 {
-        self.shared.peer_version.load(Ordering::SeqCst)
-    }
-
-    /// Blocks until the status is [`ConnStatus::Connected`] and the
-    /// observed epoch reaches `epoch`, or `timeout` elapses; returns
-    /// whether the target was reached. The post-reconnect convergence
-    /// barrier for tests and benches.
-    pub fn wait_for_epoch(&self, epoch: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.status() == ConnStatus::Connected && self.epoch() >= epoch {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+    /// The connection to the bus: status, install epoch, reconnects.
+    /// [`ConnStatus::Lost`] is an error: the agent is emitting into
+    /// buffers nothing will ever drain to the frontend.
+    pub fn uplink(&self) -> &Uplink {
+        &self.uplink
     }
 
     /// Flushes partial results to the frontend immediately (when
     /// connected; otherwise tuples keep accumulating locally).
     pub fn flush_now(&self) {
-        flush_if_connected(&self.shared);
+        self.uplink.flush_now();
     }
 
     /// Flushes once more, announces `Goodbye`, then disconnects and joins
     /// the service threads (orderly close).
     pub fn shutdown(&self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        if *self.shared.status.lock() == ConnStatus::Connected {
-            flush_reports(&self.shared);
-            let _ = write_frame(
-                &mut *self.shared.writer.lock(),
-                &encode_message(&Message::Goodbye),
-            );
-        }
-        self.shared.set_status(ConnStatus::Closed);
-        let _ = self.shared.writer.lock().shutdown(Shutdown::Both);
-        for handle in self.threads.lock().drain(..) {
-            let _ = handle.join();
-        }
+        self.uplink.shutdown();
     }
 
     /// Kills the connection the way a crashing process would: no final
@@ -681,173 +458,40 @@ impl LiveAgent {
     /// the server tallies a *lost* peer, and this handle ends
     /// [`ConnStatus::Lost`]. A chaos hook for recovery tests and benches.
     pub fn abort(&self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.shared.set_status(ConnStatus::Lost);
-        let _ = self.shared.writer.lock().shutdown(Shutdown::Both);
-        for handle in self.threads.lock().drain(..) {
-            let _ = handle.join();
-        }
+        self.uplink.abort();
     }
 }
 
-impl Drop for LiveAgent {
-    fn drop(&mut self) {
-        self.shutdown();
+/// A leaf agent's side of its [`Uplink`].
+impl UplinkHandler for Agent {
+    fn hello(&self) -> Message {
+        Message::Hello(self.info().clone())
     }
-}
 
-/// Why one read session ended.
-enum SessionEnd {
-    /// The server said `Goodbye`: orderly, do not reconnect.
-    Orderly,
-    /// EOF or protocol violation with no `Goodbye`: the connection is
-    /// lost — exactly the case that used to masquerade as a clean exit.
-    Lost,
-}
-
-/// Reads one connection until it ends; applies commands and `Sync`
-/// re-syncs to the local agent along the way.
-fn read_session(read: &mut TcpStream, shared: &LiveShared) -> SessionEnd {
-    while let Ok(payload) = read_frame(read) {
-        let msg = decode_message_versioned(&payload).map(|(v, msg)| {
-            // The server's frames advertise its version; once a v6 frame
-            // arrives, reports switch to the compact encoded-rows wire.
-            shared.peer_version.fetch_max(v, Ordering::SeqCst);
-            msg
-        });
-        match msg {
-            Ok(Message::Command(cmd)) => shared.agent.apply(&cmd),
-            Ok(Message::Sync {
-                epoch,
-                queries,
-                budgets,
-            }) => {
-                shared.agent.sync(&queries);
-                shared.agent.sync_budgets(&budgets);
-                shared.epoch.store(epoch, Ordering::SeqCst);
-            }
-            Ok(Message::Goodbye) => return SessionEnd::Orderly,
-            // Hello/HelloRelay/Report/Retro flow agent→server only;
-            // receiving one here is a protocol violation, treated like a
-            // corrupt frame.
-            Ok(
-                Message::Hello(_) | Message::HelloRelay(_) | Message::Report(_) | Message::Retro(_),
-            )
-            | Err(_) => return SessionEnd::Lost,
-        }
+    fn apply_command(&self, cmd: &Command) {
+        self.apply(cmd);
     }
-    SessionEnd::Lost
-}
 
-/// The reader thread: session loop with reconnection.
-fn reader_loop(mut read: TcpStream, shared: &Arc<LiveShared>) {
-    loop {
-        let end = read_session(&mut read, shared);
-        if shared.stop.load(Ordering::SeqCst) {
-            // Local shutdown()/abort() already chose the final status.
-            return;
-        }
-        if matches!(end, SessionEnd::Orderly) {
-            shared.set_status(ConnStatus::Closed);
-            return;
-        }
-        shared.set_status(ConnStatus::Reconnecting);
-        match reconnect(shared) {
-            Some(new_read) => {
-                read = new_read;
-                shared.reconnects.fetch_add(1, Ordering::SeqCst);
-                shared.set_status(ConnStatus::Connected);
-            }
-            None => {
-                if !shared.stop.load(Ordering::SeqCst) {
-                    shared.set_status(ConnStatus::Lost);
-                }
-                return;
-            }
-        }
+    fn apply_sync(&self, queries: Vec<Arc<CompiledCode>>, budgets: Vec<(QueryId, QueryBudget)>) {
+        self.sync(&queries);
+        self.sync_budgets(&budgets);
     }
-}
 
-/// Attempts to re-establish the connection per the policy. On success the
-/// shared writer is replaced and a fresh `Hello` sent (the server answers
-/// with a `Sync` that reconciles any missed installs).
-fn reconnect(shared: &Arc<LiveShared>) -> Option<TcpStream> {
-    for attempt in 0..shared.policy.max_attempts {
-        if sleep_unless_stopped(shared.policy.backoff(attempt), &shared.stop) {
-            return None;
+    fn flush_frames(&self, connected: bool) -> Vec<Message> {
+        // While disconnected, skip the flush entirely: tuples keep
+        // accumulating in the agent's buffers (and seq numbers are not
+        // consumed), so everything emitted during the outage is delivered
+        // after recovery instead of being written into a dead socket.
+        if !connected {
+            return Vec::new();
         }
-        let Ok(stream) = TcpStream::connect(shared.addr) else {
-            continue;
-        };
-        if stream.set_nodelay(true).is_err() {
-            continue;
-        }
-        let Ok(write_half) = stream.try_clone() else {
-            continue;
-        };
-        *shared.writer.lock() = write_half;
-        // Negotiation is per-connection: a restarted server may speak an
-        // older dialect than the previous incarnation.
-        shared
-            .peer_version
-            .store(MIN_PROTO_VERSION, Ordering::SeqCst);
-        let hello = encode_message(&Message::Hello(shared.info.clone()));
-        if write_frame(&mut *shared.writer.lock(), &hello).is_ok() {
-            return Some(stream);
-        }
-    }
-    None
-}
-
-/// Sleeps `d` in small slices, returning `true` (and early) if `stop` is
-/// raised — so shutdown never waits out a long backoff.
-fn sleep_unless_stopped(d: Duration, stop: &AtomicBool) -> bool {
-    let deadline = Instant::now() + d;
-    while Instant::now() < deadline {
-        if stop.load(Ordering::SeqCst) {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2).min(deadline - Instant::now()));
-    }
-    stop.load(Ordering::SeqCst)
-}
-
-fn flush_if_connected(shared: &LiveShared) {
-    // While disconnected, skip the flush entirely: tuples keep
-    // accumulating in the agent's buffers (and seq numbers are not
-    // consumed), so everything emitted during the outage is delivered
-    // after recovery instead of being written into a dead socket.
-    if *shared.status.lock() != ConnStatus::Connected {
-        return;
-    }
-    flush_reports(shared);
-}
-
-fn flush_reports(shared: &LiveShared) {
-    // Reports are the one message kind with versioned constructs, so they
-    // are encoded at the server's negotiated version: encoded row blocks
-    // go over the wire as-is to a v6 server and are transcoded to plain
-    // rows for a v5 one.
-    let peer_version = shared.peer_version.load(Ordering::SeqCst);
-    for report in shared.agent.flush(crate::now_nanos()) {
-        let payload = encode_message_v(&Message::Report(report), peer_version);
-        if write_frame(&mut *shared.writer.lock(), &payload).is_err() {
-            break;
-        }
-    }
-    // Retro frames exist only at v7+ and are never down-encoded
-    // (fail-loud skew policy); for a down-level server they stay in the
-    // agent's bounded pending queue, which sheds its oldest under
-    // pressure — same outage discipline as a severed link.
-    if peer_version >= 7 {
-        for retro in shared.agent.drain_retro() {
-            let payload = encode_message_v(&Message::Retro(retro), peer_version);
-            if write_frame(&mut *shared.writer.lock(), &payload).is_err() {
-                break;
-            }
-        }
+        let mut frames: Vec<Message> = self
+            .flush(crate::now_nanos())
+            .into_iter()
+            .map(Message::Report)
+            .collect();
+        frames.extend(self.drain_retro().into_iter().map(Message::Retro));
+        frames
     }
 }
 

@@ -21,9 +21,12 @@
 //!   weave commands and partial results cross real process boundaries.
 //! - [`bus`] — the transport: [`bus::TcpBusServer`] (the frontend side of
 //!   the paper's pub/sub server), [`bus::LiveAgent`] (a per-process agent
-//!   with reader + reporter threads), and [`bus::LiveFrontend`] (frontend
-//!   and TCP bus glued together). All implement / drive the
-//!   [`pivot_core::Bus`] trait shared with `LocalBus` and the simulator.
+//!   on an uplink), and [`bus::LiveFrontend`] (frontend and TCP bus glued
+//!   together). All implement / drive the [`pivot_core::Bus`] trait shared
+//!   with `LocalBus` and the simulator.
+//! - [`uplink`] — the one client-side connection both a leaf agent and a
+//!   fan-in relay use upstream: reconnect with backoff, a session reader,
+//!   and a flusher, with the owner's four differences as hooks.
 //! - [`service`] — a multi-threaded sharded KV demo service with real
 //!   tracepoints, a client pool, and baggage carried in request headers,
 //!   so the paper's Q1/Q2-style queries can be installed against live
@@ -39,6 +42,7 @@ pub mod frame;
 pub mod proto;
 pub mod service;
 pub mod thread;
+pub mod uplink;
 
 pub use bus::{ConnStatus, LiveAgent, LiveFrontend, ReconnectPolicy, TcpBusServer};
 pub use ctx::{attach, with_baggage, BaggageScope};

@@ -94,8 +94,12 @@ fn killed_agent_resyncs_all_queries_within_one_epoch() {
     let server1 = LiveAgent::connect(fe.addr(), info("kvserver", 1), interval).expect("server");
     assert!(fe.wait_for_agents(2, Duration::from_secs(10)));
     // Both queries arrive in a single epoch-tagged Sync answering Hello.
-    assert!(client.wait_for_epoch(epoch, Duration::from_secs(10)));
-    assert!(server1.wait_for_epoch(epoch, Duration::from_secs(10)));
+    assert!(client
+        .uplink()
+        .wait_for_epoch(epoch, Duration::from_secs(10)));
+    assert!(server1
+        .uplink()
+        .wait_for_epoch(epoch, Duration::from_secs(10)));
     assert!(server1.agent().registry().has_query(q1.id));
     assert!(server1.agent().registry().has_query(qs.id));
 
@@ -107,8 +111,8 @@ fn killed_agent_resyncs_all_queries_within_one_epoch() {
     // Crash: no Goodbye, no final flush. The server must tally a *lost*
     // peer, not an orderly close.
     server1.abort();
-    assert_eq!(server1.status(), ConnStatus::Lost);
-    assert!(server1.status().is_error());
+    assert_eq!(server1.uplink().status(), ConnStatus::Lost);
+    assert!(server1.uplink().status().is_error());
     let deadline = Instant::now() + Duration::from_secs(10);
     while fe.bus().peers_lost() < 1 {
         assert!(Instant::now() < deadline, "lost peer is tallied");
@@ -119,7 +123,9 @@ fn killed_agent_resyncs_all_queries_within_one_epoch() {
     // trip re-installs the *entire* query set at the current epoch.
     let server2 = LiveAgent::connect(fe.addr(), info("kvserver", 1), interval).expect("restart");
     assert!(
-        server2.wait_for_epoch(fe.bus().epoch(), Duration::from_secs(10)),
+        server2
+            .uplink()
+            .wait_for_epoch(fe.bus().epoch(), Duration::from_secs(10)),
         "restarted agent re-syncs within one epoch"
     );
     assert!(server2.agent().registry().has_query(q1.id));
@@ -151,18 +157,20 @@ fn severed_connection_reconnects_and_resyncs() {
         ReconnectPolicy::new(42),
     )
     .expect("agent connects");
-    assert!(agent.wait_for_epoch(fe.bus().epoch(), Duration::from_secs(10)));
+    assert!(agent
+        .uplink()
+        .wait_for_epoch(fe.bus().epoch(), Duration::from_secs(10)));
 
     // Cut every connection without a Goodbye (a network fault, not a
     // shutdown): the agent must notice and come back on its own.
     fe.bus().sever();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while agent.reconnects() < 1 || agent.status() != ConnStatus::Connected {
+    while agent.uplink().reconnects() < 1 || agent.uplink().status() != ConnStatus::Connected {
         assert!(
             Instant::now() < deadline,
             "agent reconnects (status {:?}, {} reconnects)",
-            agent.status(),
-            agent.reconnects()
+            agent.uplink().status(),
+            agent.uplink().reconnects()
         );
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -179,7 +187,7 @@ fn severed_connection_reconnects_and_resyncs() {
 
     // Orderly close from the agent side is *not* a lost peer.
     agent.shutdown();
-    assert_eq!(agent.status(), ConnStatus::Closed);
+    assert_eq!(agent.uplink().status(), ConnStatus::Closed);
     let deadline = Instant::now() + Duration::from_secs(10);
     while fe.bus().peers_closed() < 1 {
         assert!(Instant::now() < deadline, "orderly close is tallied");
@@ -232,7 +240,9 @@ fn long_partition_keeps_outage_buffering_bounded() {
     )
     .expect("server connects");
     server.agent().set_row_cap(CAP);
-    assert!(server.wait_for_epoch(fe.bus().epoch(), Duration::from_secs(10)));
+    assert!(server
+        .uplink()
+        .wait_for_epoch(fe.bus().epoch(), Duration::from_secs(10)));
 
     // Phase 1: a small workload delivered normally.
     drive_shard(&server, 10);
@@ -247,11 +257,11 @@ fn long_partition_keeps_outage_buffering_bounded() {
     // (from then on the report loop skips flushes entirely).
     fe.bus().sever();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.status() != ConnStatus::Reconnecting {
+    while server.uplink().status() != ConnStatus::Reconnecting {
         assert!(
             Instant::now() < deadline,
             "agent notices the partition (status {:?})",
-            server.status()
+            server.uplink().status()
         );
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -267,7 +277,7 @@ fn long_partition_keeps_outage_buffering_bounded() {
     // and the next flush delivers the surviving rows *and* the shed
     // count, so the frontend's loss envelope owns up to the outage.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while server.status() != ConnStatus::Connected {
+    while server.uplink().status() != ConnStatus::Connected {
         assert!(Instant::now() < deadline, "agent reconnects after backoff");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -308,13 +318,13 @@ fn reconnect_disabled_surfaces_lost_status() {
 
     fe.bus().sever();
     let deadline = Instant::now() + Duration::from_secs(10);
-    while agent.status() != ConnStatus::Lost {
+    while agent.uplink().status() != ConnStatus::Lost {
         assert!(
             Instant::now() < deadline,
             "disconnection surfaces as an error, not a silent exit (status {:?})",
-            agent.status()
+            agent.uplink().status()
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(agent.status().is_error());
+    assert!(agent.uplink().status().is_error());
 }

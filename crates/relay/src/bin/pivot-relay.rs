@@ -71,7 +71,7 @@ fn main() {
 
     loop {
         std::thread::sleep(Duration::from_millis(100));
-        match relay.status() {
+        match relay.uplink().status() {
             ConnStatus::Closed => {
                 relay.shutdown();
                 return;

@@ -88,8 +88,8 @@ fn agents_report_through_two_relays() {
         0,
         "no leaf connects to the frontend"
     );
-    assert!(relay_a.wait_for_epoch(1, Duration::from_secs(10)));
-    assert!(relay_b.wait_for_epoch(1, Duration::from_secs(10)));
+    assert!(relay_a.uplink().wait_for_epoch(1, Duration::from_secs(10)));
+    assert!(relay_b.uplink().wait_for_epoch(1, Duration::from_secs(10)));
 
     // Three agents per relay, connecting exactly as they would to a
     // frontend — the tier is invisible to leaves.
@@ -110,7 +110,7 @@ fn agents_report_through_two_relays() {
     for agent in &agents {
         // The downstream Sync (proxied from the upstream one) carries the
         // installed query; epoch ≥ 1 proves it arrived.
-        assert!(agent.wait_for_epoch(1, Duration::from_secs(10)));
+        assert!(agent.uplink().wait_for_epoch(1, Duration::from_secs(10)));
         assert!(agent.agent().registry().has_query(handle.id));
     }
 
@@ -155,7 +155,7 @@ fn relay_crash_mid_window_surfaces_residue_and_recovers() {
     // explicit flush_now()/pull_now() calls move data upstream.
     let relay = RelayServer::start(fe.addr(), relay_info(0), Duration::from_secs(30))
         .expect("relay starts");
-    assert!(relay.wait_for_epoch(1, Duration::from_secs(10)));
+    assert!(relay.uplink().wait_for_epoch(1, Duration::from_secs(10)));
 
     let interval = Duration::from_secs(30); // explicit flushes only
     let agents: Vec<LiveAgent> = (0..2u64)
@@ -165,7 +165,7 @@ fn relay_crash_mid_window_surfaces_residue_and_recovers() {
         .downstream()
         .wait_for_agents(2, Duration::from_secs(10)));
     for agent in &agents {
-        assert!(agent.wait_for_epoch(1, Duration::from_secs(10)));
+        assert!(agent.uplink().wait_for_epoch(1, Duration::from_secs(10)));
     }
 
     // Phase 1: delivered end-to-end before the fault.
@@ -201,13 +201,13 @@ fn relay_crash_mid_window_surfaces_residue_and_recovers() {
     // upstream (healing its query shapes from the answering Sync), and the
     // severed agents reconnect downstream.
     let deadline = Instant::now() + Duration::from_secs(20);
-    while relay.status() != ConnStatus::Connected || relay.reconnects() < 1 {
+    while relay.uplink().status() != ConnStatus::Connected || relay.uplink().reconnects() < 1 {
         assert!(Instant::now() < deadline, "relay upstream never recovered");
         std::thread::sleep(Duration::from_millis(5));
     }
     for agent in &agents {
         let deadline = Instant::now() + Duration::from_secs(20);
-        while agent.status() != ConnStatus::Connected || agent.reconnects() < 1 {
+        while agent.uplink().status() != ConnStatus::Connected || agent.uplink().reconnects() < 1 {
             assert!(Instant::now() < deadline, "agent never reconnected");
             std::thread::sleep(Duration::from_millis(5));
         }

@@ -8,14 +8,16 @@
 //!
 //! # Hot path
 //!
-//! [`Agent::invoke`] executes lowered [`AdviceByteCode`] through a
-//! thread-local [`Vm`] whose scratch buffers persist across invocations, so
-//! a woven event allocates only for the data it actually produces. Emitted
-//! rows stream straight into the aggregation buffers through an
-//! [`EmitSink`] — no intermediate `Emitted` batch, no per-event clone of
-//! the output spec or schema. The default exports `host` and `procname`
-//! are interned once at construction and the `tracepoint` name once at
-//! weave time.
+//! [`Agent::invoke`] is a batch of one through [`Agent::invoke_batch`],
+//! the one invoke path. It runs lowered [`AdviceByteCode`] via
+//! [`Vm::run_batch`] on a thread-local [`Vm`] whose scratch buffers persist
+//! across invocations, so a woven event allocates only for its exports and
+//! the data it produces. Emitted rows stream straight into the aggregation
+//! buffers through an [`EmitSink`] — no intermediate `Emitted` batch, no
+//! per-event clone of the output spec or schema. The default exports
+//! `host` and `procname` are interned once at construction and the
+//! `tracepoint` name once at weave time. No invoke takes a stats lock,
+//! and an ungoverned one takes no governors lock.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -73,6 +75,19 @@ pub struct AgentStats {
     pub tuples_emitted: u64,
     /// Result rows sent to the frontend (after local aggregation).
     pub rows_reported: u64,
+}
+
+/// The live [`AgentStats`] counters. Relaxed atomics, written on every
+/// woven invoke, so they get a cache line of their own away from the
+/// read-mostly flags every invoke loads.
+#[derive(Default)]
+#[repr(align(64))]
+struct StatCounters {
+    idle_invocations: AtomicU64,
+    advised_invocations: AtomicU64,
+    tuples_packed: AtomicU64,
+    tuples_emitted: AtomicU64,
+    rows_reported: AtomicU64,
 }
 
 /// Rows accumulated for one query between flushes.
@@ -358,6 +373,17 @@ impl EmitSink for AgentSink<'_> {
     }
 }
 
+/// Cuts [`Agent::invoke_batch`]'s export arena into one slice per event;
+/// out of line because, inlined, it slowed the one-event path.
+#[inline(never)]
+fn split_arena<'a, 'b>(
+    mut arena: &'a [(&'b str, Value)],
+    widths: impl Iterator<Item = usize>,
+) -> Vec<&'a [(&'b str, Value)]> {
+    let cut = |w| arena.split_off(..w).expect("sized to fit");
+    widths.map(cut).collect()
+}
+
 /// Process-wide incarnation counter: every [`Agent`] gets a distinct
 /// incarnation number, so a restarted agent (same host/procid, fresh
 /// `seq` space) is distinguishable from duplicated reports of its
@@ -382,8 +408,8 @@ pub struct Agent {
     governed: AtomicBool,
     /// Per-query bound on buffered rows between flushes.
     row_cap: AtomicUsize,
-    stats: Mutex<AgentStats>,
-    enabled: std::sync::atomic::AtomicBool,
+    stats: StatCounters,
+    enabled: AtomicBool,
     /// The hindsight ring (see [`crate::retro`]). Lock order: taken alone,
     /// never while holding `governors` or `buffers`.
     retro: Mutex<RetroRing>,
@@ -415,8 +441,8 @@ impl Agent {
             governors: Mutex::new(IdHashMap::default()),
             governed: AtomicBool::new(false),
             row_cap: AtomicUsize::new(DEFAULT_ROW_CAP),
-            stats: Mutex::new(AgentStats::default()),
-            enabled: std::sync::atomic::AtomicBool::new(true),
+            stats: StatCounters::default(),
+            enabled: AtomicBool::new(true),
             retro: Mutex::new(retro),
             retro_enabled: AtomicBool::new(false),
             retro_latency_ns: AtomicU64::new(0),
@@ -433,8 +459,13 @@ impl Agent {
     /// [`Agent::invoke`] returns before even consulting the registry —
     /// the "unmodified system" baseline of the paper's Table 5.
     pub fn set_enabled(&self, enabled: bool) {
-        self.enabled
-            .store(enabled, std::sync::atomic::Ordering::Relaxed);
+        self.enabled.store(enabled, Ordering::Relaxed);
+    }
+
+    /// Whether the agent is on (see [`Agent::set_enabled`]).
+    #[inline]
+    pub fn is_enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Returns the process identity.
@@ -449,7 +480,14 @@ impl Agent {
 
     /// Returns a snapshot of the counters.
     pub fn stats(&self) -> AgentStats {
-        *self.stats.lock()
+        let s = &self.stats;
+        AgentStats {
+            idle_invocations: s.idle_invocations.load(Ordering::Relaxed),
+            advised_invocations: s.advised_invocations.load(Ordering::Relaxed),
+            tuples_packed: s.tuples_packed.load(Ordering::Relaxed),
+            tuples_emitted: s.tuples_emitted.load(Ordering::Relaxed),
+            rows_reported: s.rows_reported.load(Ordering::Relaxed),
+        }
     }
 
     /// Applies a frontend command (weave / unweave / budget).
@@ -750,7 +788,7 @@ impl Agent {
             s,
             "c{}|e{}",
             self.row_cap.load(Ordering::Relaxed),
-            self.enabled.load(std::sync::atomic::Ordering::Relaxed),
+            self.is_enabled(),
         );
         {
             let retro = self.retro.lock();
@@ -805,7 +843,8 @@ impl Agent {
     ///
     /// `now` is the current time in nanoseconds (virtual time under the
     /// simulator); it supplies the default `timestamp` export. Returns
-    /// immediately — with one atomic load — when nothing is woven.
+    /// immediately — with one atomic load — when nothing is woven. A
+    /// batch of one: see [`Agent::invoke_batch`].
     pub fn invoke(
         &self,
         tracepoint: &str,
@@ -813,107 +852,7 @@ impl Agent {
         now: u64,
         exports: &[(&str, Value)],
     ) {
-        if !self.enabled.load(std::sync::atomic::Ordering::Relaxed) {
-            return;
-        }
-        // Hindsight recording happens for *every* invocation — woven or
-        // not — so a later trigger can reconstruct the full event stream.
-        // When retro is off this is one relaxed load.
-        let retro_on = self.retro_enabled.load(Ordering::Relaxed);
-        let mut retro_request = 0u64;
-        if retro_on {
-            retro_request = trace_of(baggage).unwrap_or(0);
-            self.retro
-                .lock()
-                .record(tracepoint, now, retro_request, exports);
-        }
-        let Some((tp_value, list)) = self.registry.lookup(tracepoint) else {
-            if !self.registry.is_idle() {
-                self.stats.lock().idle_invocations += 1;
-            }
-            return;
-        };
-        let mut full: Vec<(&str, Value)> =
-            Vec::with_capacity(exports.len() + DEFAULT_EXPORTS.len());
-        full.push(("host", self.host_value.clone()));
-        full.push(("timestamp", Value::U64(now)));
-        full.push(("procid", Value::U64(self.info.procid)));
-        full.push(("procname", self.procname_value.clone()));
-        full.push(("tracepoint", tp_value));
-        full.extend(exports.iter().cloned());
-
-        let mut sink = AgentSink {
-            buffers: &self.buffers,
-            guard: None,
-            row_cap: self.row_cap.load(Ordering::Relaxed),
-            triggers: Vec::new(),
-        };
-        let mut packed = 0u64;
-        let mut emitted = 0u64;
-        // `tripped` stays empty (no allocation) until a breaker actually
-        // fires, which only the governed branch can do.
-        let mut tripped: Vec<QueryId> = Vec::new();
-        if self.governed.load(Ordering::Relaxed) {
-            // Governed: charge each program's work to its query. The
-            // governors lock is held across the VM loop (lock order:
-            // governors → buffers; the sink takes buffers lazily inside).
-            let mut governors = self.governors.lock();
-            VM.with(|vm| {
-                let mut vm = vm.borrow_mut();
-                for woven in list.iter() {
-                    // Programs with no governor entry skip the meter
-                    // bookkeeping entirely; they run exactly as in the
-                    // ungoverned branch below.
-                    let Some(g) = governors.get_mut(&woven.query) else {
-                        let s = vm.run(&woven.code, &full, baggage, &mut sink);
-                        packed += s.packed as u64;
-                        emitted += s.emitted as u64;
-                        continue;
-                    };
-                    let ops0 = vm.ops();
-                    let m0 = baggage.meter();
-                    let s = vm.run(&woven.code, &full, baggage, &mut sink);
-                    packed += s.packed as u64;
-                    emitted += s.emitted as u64;
-                    let m1 = baggage.meter();
-                    let work = (s.emitted + s.packed) as u64;
-                    let bytes = (m1.values - m0.values).saturating_mul(NOMINAL_BYTES_PER_VALUE);
-                    if charge_governor(
-                        g,
-                        woven.query,
-                        now,
-                        work,
-                        vm.ops() - ops0,
-                        bytes,
-                        m1.truncated - m0.truncated,
-                    ) {
-                        tripped.push(woven.query);
-                    }
-                }
-            });
-        } else {
-            VM.with(|vm| {
-                let mut vm = vm.borrow_mut();
-                for woven in list.iter() {
-                    let s = vm.run(&woven.code, &full, baggage, &mut sink);
-                    packed += s.packed as u64;
-                    emitted += s.emitted as u64;
-                }
-            });
-        }
-        let fired = std::mem::take(&mut sink.triggers);
-        drop(sink);
-        for query in &tripped {
-            self.registry.unweave(*query);
-        }
-        if retro_on {
-            let outlier = self.retro_outlier(exports);
-            self.fire_retro(&fired, &tripped, outlier, retro_request, now);
-        }
-        let mut st = self.stats.lock();
-        st.advised_invocations += 1;
-        st.tuples_packed += packed;
-        st.tuples_emitted += emitted;
+        self.invoke_batch(tracepoint, baggage, &[(now, exports)]);
     }
 
     /// Whether `exports` crosses the latency-outlier trigger threshold.
@@ -928,32 +867,6 @@ impl Agent {
                         _ => false,
                     }
             }),
-        }
-    }
-
-    /// Fires the retro ring for every trigger source one woven invocation
-    /// produced: `Trigger` advice ops, breaker trips, and the
-    /// latency-outlier threshold. Runs outside the governor/buffer locks.
-    fn fire_retro(
-        &self,
-        fired: &[QueryId],
-        tripped: &[QueryId],
-        outlier: bool,
-        request: u64,
-        now: u64,
-    ) {
-        if fired.is_empty() && tripped.is_empty() && !outlier {
-            return;
-        }
-        let mut ring = self.retro.lock();
-        for query in fired {
-            ring.trigger(TriggerKind::Advice, *query, request, now);
-        }
-        for query in tripped {
-            ring.trigger(TriggerKind::Breaker, *query, request, now);
-        }
-        if outlier {
-            ring.trigger(TriggerKind::LatencyOutlier, QueryId(0), request, now);
         }
     }
 
@@ -976,113 +889,140 @@ impl Agent {
         baggage: &mut Baggage,
         events: &[(u64, &[(&str, Value)])],
     ) {
-        if events.is_empty() || !self.enabled.load(std::sync::atomic::Ordering::Relaxed) {
+        let Some(&(last_now, _)) = events.last() else {
+            return;
+        };
+        if !self.is_enabled() {
             return;
         }
+        // Hindsight recording happens for *every* invocation — woven or
+        // not — so a later trigger can reconstruct the full event stream.
+        // When retro is off this is one relaxed load.
         let retro_on = self.retro_enabled.load(Ordering::Relaxed);
         let mut retro_request = 0u64;
-        let mut retro_outlier = false;
         if retro_on {
             retro_request = trace_of(baggage).unwrap_or(0);
             let mut ring = self.retro.lock();
             for (now, exports) in events {
                 ring.record(tracepoint, *now, retro_request, exports);
             }
-            drop(ring);
-            retro_outlier = events.iter().any(|(_, e)| self.retro_outlier(e));
         }
+        let n = events.len() as u64;
         let Some((tp_value, list)) = self.registry.lookup(tracepoint) else {
             if !self.registry.is_idle() {
-                self.stats.lock().idle_invocations += events.len() as u64;
+                self.stats.idle_invocations.fetch_add(n, Ordering::Relaxed);
             }
             return;
         };
-        // Materialize every event's full export set back-to-back in one
-        // arena (sized exactly up front, so slices below never move) —
-        // the whole batch costs one allocation instead of one Vec per
-        // event; each program then runs over the whole batch.
-        let total: usize = events
+        // One arena, sized up front, holds every event's full export set
+        // back to back. `repeat_n` moves the tracepoint name into the last
+        // event instead of cloning it, so a batch of one clones nothing.
+        let width = |(_, e): &(u64, &[(&str, Value)])| e.len() + DEFAULT_EXPORTS.len();
+        let mut arena: Vec<(&str, Value)> = Vec::with_capacity(events.iter().map(width).sum());
+        for ((now, exports), tp) in events
             .iter()
-            .map(|(_, exports)| exports.len() + DEFAULT_EXPORTS.len())
-            .sum();
-        let mut arena: Vec<(&str, Value)> = Vec::with_capacity(total);
-        let mut bounds: Vec<(usize, usize)> = Vec::with_capacity(events.len());
-        for (now, exports) in events {
-            let start = arena.len();
+            .zip(std::iter::repeat_n(tp_value, events.len()))
+        {
             arena.push(("host", self.host_value.clone()));
             arena.push(("timestamp", Value::U64(*now)));
             arena.push(("procid", Value::U64(self.info.procid)));
             arena.push(("procname", self.procname_value.clone()));
-            arena.push(("tracepoint", tp_value.clone()));
+            arena.push(("tracepoint", tp));
             arena.extend(exports.iter().cloned());
-            bounds.push((start, arena.len()));
         }
-        let batch: Vec<&[(&str, Value)]> = bounds.iter().map(|&(s, e)| &arena[s..e]).collect();
-        let charge_now = events.last().expect("non-empty").0;
-
-        let mut sink = AgentSink {
-            buffers: &self.buffers,
-            guard: None,
-            row_cap: self.row_cap.load(Ordering::Relaxed),
-            triggers: Vec::new(),
+        let whole = arena.as_slice();
+        let many: Vec<&[(&str, Value)]>;
+        let batch = if events.len() == 1 {
+            std::slice::from_ref(&whole)
+        } else {
+            many = split_arena(whole, events.iter().map(width));
+            &many
         };
+
+        let mut sink = self.sink();
         let mut packed = 0u64;
         let mut emitted = 0u64;
+        // `tripped` stays empty (no allocation) until a breaker actually
+        // fires, which only a governed program can do.
         let mut tripped: Vec<QueryId> = Vec::new();
-        if self.governed.load(Ordering::Relaxed) {
-            let mut governors = self.governors.lock();
-            VM.with(|vm| {
-                let mut vm = vm.borrow_mut();
-                for woven in list.iter() {
-                    let Some(g) = governors.get_mut(&woven.query) else {
-                        let s = vm.run_batch(&woven.code, &batch, baggage, &mut sink);
-                        packed += s.packed as u64;
-                        emitted += s.emitted as u64;
-                        continue;
-                    };
-                    let ops0 = vm.ops();
-                    let m0 = baggage.meter();
-                    let s = vm.run_batch(&woven.code, &batch, baggage, &mut sink);
-                    packed += s.packed as u64;
-                    emitted += s.emitted as u64;
-                    let m1 = baggage.meter();
-                    let work = (s.emitted + s.packed) as u64;
-                    let bytes = (m1.values - m0.values).saturating_mul(NOMINAL_BYTES_PER_VALUE);
-                    if charge_governor(
-                        g,
-                        woven.query,
-                        charge_now,
-                        work,
-                        vm.ops() - ops0,
-                        bytes,
-                        m1.truncated - m0.truncated,
-                    ) {
-                        tripped.push(woven.query);
-                    }
+        // Governed: charge each program's work to its query, holding the
+        // governors lock across the VM loop (lock order: governors →
+        // buffers, which the sink takes lazily). Ungoverned: no lock.
+        let mut governors = self
+            .governed
+            .load(Ordering::Relaxed)
+            .then(|| self.governors.lock());
+        VM.with_borrow_mut(|vm| {
+            for woven in list.iter() {
+                // Programs with no governor entry skip the meter
+                // bookkeeping entirely.
+                let metered = governors
+                    .as_mut()
+                    .and_then(|gs| gs.get_mut(&woven.query))
+                    .map(|g| (g, vm.ops(), baggage.meter()));
+                let s = vm.run_batch(&woven.code, batch, baggage, &mut sink);
+                packed += s.packed as u64;
+                emitted += s.emitted as u64;
+                let Some((g, ops0, m0)) = metered else {
+                    continue;
+                };
+                let m1 = baggage.meter();
+                let work = (s.emitted + s.packed) as u64;
+                let bytes = (m1.values - m0.values).saturating_mul(NOMINAL_BYTES_PER_VALUE);
+                if charge_governor(
+                    g,
+                    woven.query,
+                    last_now,
+                    work,
+                    vm.ops() - ops0,
+                    bytes,
+                    m1.truncated - m0.truncated,
+                ) {
+                    tripped.push(woven.query);
                 }
-            });
-        } else {
-            VM.with(|vm| {
-                let mut vm = vm.borrow_mut();
-                for woven in list.iter() {
-                    let s = vm.run_batch(&woven.code, &batch, baggage, &mut sink);
-                    packed += s.packed as u64;
-                    emitted += s.emitted as u64;
-                }
-            });
-        }
+            }
+        });
+        // The retro ring is taken alone (see `Agent::retro`).
+        drop(governors);
         let fired = std::mem::take(&mut sink.triggers);
         drop(sink);
         for query in &tripped {
             self.registry.unweave(*query);
         }
         if retro_on {
-            self.fire_retro(&fired, &tripped, retro_outlier, retro_request, charge_now);
+            // Trigger sources: `Trigger` advice ops, breaker trips, and the
+            // latency-outlier threshold; the ring lock is taken only if one fires.
+            let outlier = events.iter().any(|(_, e)| self.retro_outlier(e));
+            let sources = fired
+                .iter()
+                .map(|q| (TriggerKind::Advice, *q))
+                .chain(tripped.iter().map(|q| (TriggerKind::Breaker, *q)))
+                .chain(outlier.then_some((TriggerKind::LatencyOutlier, QueryId(0))));
+            let mut ring = None;
+            for (kind, query) in sources {
+                let ring = ring.get_or_insert_with(|| self.retro.lock());
+                ring.trigger(kind, query, retro_request, last_now);
+            }
         }
-        let mut st = self.stats.lock();
-        st.advised_invocations += events.len() as u64;
-        st.tuples_packed += packed;
-        st.tuples_emitted += emitted;
+        // Each add is a locked instruction; most programs either pack or
+        // emit, so skip the add that would be 0.
+        let st = &self.stats;
+        st.advised_invocations.fetch_add(n, Ordering::Relaxed);
+        if packed > 0 {
+            st.tuples_packed.fetch_add(packed, Ordering::Relaxed);
+        }
+        if emitted > 0 {
+            st.tuples_emitted.fetch_add(emitted, Ordering::Relaxed);
+        }
+    }
+
+    fn sink(&self) -> AgentSink<'_> {
+        AgentSink {
+            buffers: &self.buffers,
+            guard: None,
+            row_cap: self.row_cap.load(Ordering::Relaxed),
+            triggers: Vec::new(),
+        }
     }
 
     /// Runs one bytecode program directly (exposed for benches and tests
@@ -1094,31 +1034,8 @@ impl Agent {
         exports: &[(&str, Value)],
         baggage: &mut Baggage,
     ) -> pivot_query::VmStats {
-        let mut sink = AgentSink {
-            buffers: &self.buffers,
-            guard: None,
-            row_cap: self.row_cap.load(Ordering::Relaxed),
-            triggers: Vec::new(),
-        };
-        VM.with(|vm| vm.borrow_mut().run(code, exports, baggage, &mut sink))
-    }
-
-    /// Batch twin of [`Agent::run_code`]: runs one bytecode program over
-    /// a whole batch of invocations through [`pivot_query::Vm::run_batch`].
-    /// Every element of `batch` must already include the default exports.
-    pub fn run_code_batch(
-        &self,
-        code: &AdviceByteCode,
-        batch: &[&[(&str, Value)]],
-        baggage: &mut Baggage,
-    ) -> pivot_query::VmStats {
-        let mut sink = AgentSink {
-            buffers: &self.buffers,
-            guard: None,
-            row_cap: self.row_cap.load(Ordering::Relaxed),
-            triggers: Vec::new(),
-        };
-        VM.with(|vm| vm.borrow_mut().run_batch(code, batch, baggage, &mut sink))
+        let mut sink = self.sink();
+        VM.with_borrow_mut(|vm| vm.run_batch(code, &[exports], baggage, &mut sink))
     }
 
     /// Publishes and clears the local partial results (paper Figure 2, Æ).
@@ -1231,10 +1148,10 @@ impl Agent {
                 rows,
             });
         }
-        let mut st = self.stats.lock();
-        for r in &out {
-            st.rows_reported += r.rows.len() as u64;
-        }
+        let rows: usize = out.iter().map(|r| r.rows.len()).sum();
+        self.stats
+            .rows_reported
+            .fetch_add(rows as u64, Ordering::Relaxed);
         out
     }
 }
@@ -1363,6 +1280,35 @@ mod tests {
 
         // Flush drains.
         assert!(a.flush(2_000_000_000).is_empty());
+    }
+
+    #[test]
+    fn concurrent_invokes_count_exactly() {
+        const THREADS: u64 = 4;
+        const N: u64 = 20_000;
+        let a = agent();
+        a.install(&q2_code());
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    // Alternate a packing invoke (no buffer lock, so the
+                    // threads overlap) with one that emits once.
+                    let mut bag = Baggage::new();
+                    let delta = [("delta", Value::I64(1))];
+                    start.wait();
+                    for i in 0..N / 2 {
+                        a.invoke("ClientProtocols", &mut bag, i, &[]);
+                        a.invoke("DataNodeMetrics.incrBytesRead", &mut bag, i, &delta);
+                    }
+                });
+            }
+        });
+        let st = a.stats();
+        assert_eq!(st.advised_invocations, THREADS * N);
+        assert_eq!(st.tuples_packed, THREADS * N / 2);
+        assert_eq!(st.tuples_emitted, THREADS * N / 2);
+        assert_eq!(a.emitted_for(QueryId(1)), THREADS * N / 2);
     }
 
     #[test]

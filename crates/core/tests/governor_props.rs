@@ -230,3 +230,45 @@ fn unlimited_and_generous_budgets_match_ungoverned_exactly() {
     assert_eq!(ungoverned, unlimited);
     assert_eq!(ungoverned, generous);
 }
+
+/// A budgeted and an unbudgeted query woven on the same tracepoint, so one
+/// governed VM loop meters the first and runs the second unmetered.
+fn mixed_setup() -> (Arc<Agent>, QueryHandle, QueryHandle) {
+    let (mut fe, agent, bus, budgeted) = setup();
+    let free = fe.install("From e In Gov.point GroupBy e.v Select e.v, COUNT");
+    let free = free.expect("unbudgeted query compiles");
+    push_budget(&mut fe, &bus, &budgeted, tight(4)); // also broadcasts the install
+    (agent, budgeted, free)
+}
+
+/// `[emitted, emitted, trips, trips]` for the budgeted and the free query.
+fn tallies(agent: &Agent, b: &QueryHandle, f: &QueryHandle) -> [u64; 4] {
+    let trips = |q: &QueryHandle| u64::from(agent.trips_for(q.id));
+    [
+        agent.emitted_for(b.id),
+        agent.emitted_for(f.id),
+        trips(b),
+        trips(f),
+    ]
+}
+
+#[test]
+fn budgeted_query_trips_while_unbudgeted_neighbour_keeps_emitting() {
+    // Scalar invokes: the budgeted query trips on its fifth tuple and
+    // stops; the unbudgeted one emits on every invocation.
+    let (agent, budgeted, free) = mixed_setup();
+    for i in 0..10 {
+        invoke(&agent, 1 + i, i as i64);
+    }
+    assert_eq!(tallies(&agent, &budgeted, &free), [5, 10, 1, 0]);
+
+    // Batched invokes: one summed charge per batch, so the budgeted query
+    // trips at the end of the first batch and runs nothing in the second.
+    let (agent, budgeted, free) = mixed_setup();
+    let exports: Vec<[(&str, Value); 1]> = (0..10).map(|i| [("v", Value::I64(i))]).collect();
+    let events: Vec<(u64, &[(&str, Value)])> = exports.iter().map(|e| (1, e.as_slice())).collect();
+    for round in 1..=2 {
+        agent.invoke_batch("Gov.point", &mut pivot_baggage::Baggage::new(), &events);
+        assert_eq!(tallies(&agent, &budgeted, &free), [10, 10 * round, 1, 0]);
+    }
+}

@@ -236,7 +236,7 @@ fn assert_engines_agree(
     }
 
     let mut sink = CollectSink::default();
-    let vm_stats = Vm::new().run(&lowered.code, exports, &mut bag_vm, &mut sink);
+    let vm_stats = Vm::new().run_batch(&lowered.code, &[exports], &mut bag_vm, &mut sink);
 
     prop_assert_eq!(
         (tree_stats.packed, tree_stats.unpacked, tree_stats.emitted),
@@ -352,8 +352,8 @@ impl EmitSink for FoldSink {
     }
 }
 
-/// Batched-vs-scalar VM: [`Vm::run_batch`] must reproduce N sequential
-/// [`Vm::run`]s exactly — rows in order, stats, and baggage — for
+/// Batched-vs-scalar VM: [`Vm::run_batch`] over N events must reproduce
+/// N sequential batches of one exactly — rows in order, stats, and baggage — for
 /// arbitrary programs (batchable or not), and, when driven through a
 /// folding sink, land identical final aggregation states in identical
 /// first-seen group order.
@@ -378,7 +378,7 @@ fn assert_batch_agrees(
     let mut sink_scalar = CollectSink::default();
     let mut scalar = (0usize, 0usize, 0usize);
     for exports in &batch {
-        let s = Vm::new().run(&lowered.code, exports, &mut bag_scalar, &mut sink_scalar);
+        let s = Vm::new().run_batch(&lowered.code, &[exports], &mut bag_scalar, &mut sink_scalar);
         scalar = (
             scalar.0 + s.packed,
             scalar.1 + s.unpacked,
@@ -423,7 +423,7 @@ fn assert_batch_agrees(
     let mut bag_scalar = bag_seed.clone();
     let mut fold_scalar = FoldSink::default();
     for exports in &batch {
-        Vm::new().run(&lowered.code, exports, &mut bag_scalar, &mut fold_scalar);
+        Vm::new().run_batch(&lowered.code, &[exports], &mut bag_scalar, &mut fold_scalar);
     }
     let mut bag_fold = bag_seed.clone();
     let mut fold_batch = FoldSink::default();
@@ -568,7 +568,7 @@ fn check_query_engines(query: &str, events: &[(usize, i64)]) -> Result<(), TestC
                     }
                 }
             }
-            let vs = vm.run(lowered, &exports, &mut bag_vm, &mut sink);
+            let vs = vm.run_batch(lowered, &[&exports], &mut bag_vm, &mut sink);
             prop_assert_eq!(
                 (ts.packed, ts.unpacked, ts.emitted),
                 (vs.packed, vs.unpacked, vs.emitted),

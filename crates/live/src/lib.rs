@@ -66,12 +66,13 @@ pub fn now_nanos() -> u64 {
 /// request's baggage was attached to the thread by [`ctx::attach`] and any
 /// woven advice packs into / unpacks from it in place.
 ///
-/// When no query is woven anywhere in the process this returns after a
-/// single atomic load, before touching the wall clock or the thread-local
-/// — the paper's requirement that inactive tracepoints cost (near)
-/// nothing on the hot path (Table 5's "unwoven" row).
+/// When no query is woven anywhere in the process, or the agent is
+/// switched off, this returns after one or two atomic loads, before
+/// touching the wall clock or the thread-local — the paper's requirement
+/// that inactive tracepoints cost (near) nothing on the hot path
+/// (Table 5's "unwoven" row).
 pub fn tracepoint(agent: &Agent, name: &str, exports: &[(&str, Value)]) {
-    if agent.registry().is_idle() {
+    if agent.registry().is_idle() || !agent.is_enabled() {
         return;
     }
     ctx::with_baggage(|bag| agent.invoke(name, bag, now_nanos(), exports));

@@ -237,8 +237,8 @@ impl AdviceByteCode {
 
     /// Returns `true` when [`Vm::run_batch`] may execute this program
     /// op-major over a whole batch of invocations sharing one baggage,
-    /// with results byte-identical to running [`Vm::run`] once per
-    /// invocation in order.
+    /// with results byte-identical to running it as a batch of one per
+    /// invocation, in order.
     ///
     /// Three structural conditions guarantee that:
     ///
@@ -299,7 +299,7 @@ pub struct VmStats {
     pub emitted: usize,
 }
 
-/// Receives evaluated rows from [`Vm::run`].
+/// Receives evaluated rows from [`Vm::run_batch`].
 ///
 /// The VM hands the sink *evaluated* output rows — group keys and
 /// aggregate arguments, or projected streaming rows — so the process-local
@@ -920,7 +920,7 @@ impl Vm {
     /// Cumulative count of retired instructions over this VM's lifetime.
     ///
     /// Callers meter per-program work by taking the difference around a
-    /// [`Vm::run`] call. This is deliberately *not* part of [`VmStats`]:
+    /// [`Vm::run_batch`] call. This is deliberately *not* part of [`VmStats`]:
     /// stats are compared between the VM and the tree-walk interpreter in
     /// differential tests, and the two engines retire different
     /// instruction counts for the same semantics (the VM fuses trailing
@@ -929,12 +929,14 @@ impl Vm {
         self.ops
     }
 
-    /// Executes `code` for one tracepoint invocation.
+    /// Executes `code` for one tracepoint invocation: the per-invocation
+    /// engine behind [`Vm::run_batch`] for batches of one and for
+    /// non-batchable programs.
     ///
     /// `exports` supplies the tracepoint's variables (default exports
     /// included by the caller). Packs mutate `baggage`; emitted rows go to
     /// `sink`. Semantics match the tree-walk interpreter exactly.
-    pub fn run(
+    fn run(
         &mut self,
         code: &AdviceByteCode,
         exports: &[(&str, Value)],
@@ -1081,23 +1083,20 @@ impl Vm {
     }
 
     /// Executes `code` once per invocation in `batch` against the same
-    /// baggage and sink, returning the summed stats.
+    /// baggage and sink, returning the summed stats: the VM's one entry
+    /// point (a single invocation is a batch of one).
     ///
-    /// Equivalent to calling [`Vm::run`] for each element of `batch` in
-    /// order — byte-identical emitted rows, packed entries, stats, and
-    /// retired-op counts — but when [`AdviceByteCode::batchable`] holds,
-    /// execution is *op-major*: one dispatch per instruction drives a
-    /// working set holding every invocation's live tuples at once, so the
-    /// interpreter loop overhead (dispatch, unpack materialization,
-    /// baggage bookkeeping) is paid per instruction instead of per
-    /// invocation × instruction. Non-batchable programs transparently
-    /// fall back to the scalar loop.
-    ///
-    /// Rows are tagged with their invocation index and kept in
-    /// invocation-major order throughout, which is what makes
-    /// order-sensitive effects (pack arrival order at retention caps,
-    /// emit order, per-invocation early exit) match the scalar loop
-    /// exactly.
+    /// A batch of one, or any batch of a program that is not
+    /// [`AdviceByteCode::batchable`], runs the per-invocation loop once
+    /// per element in order. Otherwise execution is *op-major*: one
+    /// dispatch per instruction drives a working set holding every
+    /// invocation's live tuples at once, so interpreter overhead
+    /// (dispatch, unpack materialization, baggage bookkeeping) is paid per
+    /// instruction instead of per invocation × instruction, with
+    /// byte-identical emitted rows, packed entries, stats, and retired-op
+    /// counts. With one event the two orders coincide, so the cheaper
+    /// per-invocation loop runs.
+    #[inline]
     pub fn run_batch(
         &mut self,
         code: &AdviceByteCode,
@@ -1105,19 +1104,37 @@ impl Vm {
         baggage: &mut Baggage,
         sink: &mut impl EmitSink,
     ) -> VmStats {
+        // Decided in this small inlined entry rather than inside the large
+        // op-major function, so one event skips that function's set-up.
+        if batch.len() > 1 && code.batchable() {
+            return self.run_op_major(code, batch, baggage, sink);
+        }
         let mut stats = VmStats::default();
-        if batch.is_empty() {
-            return stats;
+        for exports in batch {
+            let s = self.run(code, exports, baggage, sink);
+            stats.unpacked += s.unpacked;
+            stats.packed += s.packed;
+            stats.emitted += s.emitted;
         }
-        if !code.batchable() {
-            for exports in batch {
-                let s = self.run(code, exports, baggage, sink);
-                stats.unpacked += s.unpacked;
-                stats.packed += s.packed;
-                stats.emitted += s.emitted;
-            }
-            return stats;
-        }
+        stats
+    }
+
+    /// [`Vm::run_batch`] for two or more invocations of a batchable
+    /// program.
+    ///
+    /// Rows are tagged with their invocation index and kept in
+    /// invocation-major order throughout, which is what makes
+    /// order-sensitive effects (pack arrival order at retention caps,
+    /// emit order, per-invocation early exit) match the scalar loop
+    /// exactly.
+    fn run_op_major(
+        &mut self,
+        code: &AdviceByteCode,
+        batch: &[&[(&str, Value)]],
+        baggage: &mut Baggage,
+        sink: &mut impl EmitSink,
+    ) -> VmStats {
+        let mut stats = VmStats::default();
         if let Some(stats) = self.run_factorized(code, batch, baggage, sink) {
             return stats;
         }
@@ -1750,7 +1767,7 @@ mod tests {
         lowered.code.validate().expect("lowered bytecode validates");
         let mut vm = Vm::new();
         let mut sink = CollectSink::default();
-        let stats = vm.run(&lowered.code, exports, baggage, &mut sink);
+        let stats = vm.run_batch(&lowered.code, &[exports], baggage, &mut sink);
         (sink, stats)
     }
 
@@ -1913,7 +1930,8 @@ mod tests {
         let mut bag = Baggage::new();
         let mut vm = Vm::new();
         let mut sink = CollectSink::default();
-        let stats = vm.run(&lowered.code, &[("x", Value::I64(1))], &mut bag, &mut sink);
+        let exports: &[(&str, Value)] = &[("x", Value::I64(1))];
+        let stats = vm.run_batch(&lowered.code, &[exports], &mut bag, &mut sink);
         assert_eq!(stats.packed, 0, "failing predicate drops every tuple");
     }
 
@@ -1968,8 +1986,8 @@ mod tests {
         }
     }
 
-    /// Runs `code` over `batch` twice — once per-invocation with
-    /// [`Vm::run`], once with [`Vm::run_batch`] — against clones of `bag`
+    /// Runs `code` over `batch` twice — once as batches of one, once as
+    /// the whole batch through [`Vm::run_batch`] — against clones of `bag`
     /// and asserts every observable matches: emitted rows, stats,
     /// retired-op deltas, and the serialized baggage.
     fn assert_batch_matches_scalar(
@@ -1982,7 +2000,7 @@ mod tests {
         let mut sink_scalar = CollectSink::default();
         let mut scalar = VmStats::default();
         for exports in batch {
-            let s = vm_scalar.run(code, exports, &mut bag_scalar, &mut sink_scalar);
+            let s = vm_scalar.run_batch(code, &[exports], &mut bag_scalar, &mut sink_scalar);
             scalar.unpacked += s.unpacked;
             scalar.packed += s.packed;
             scalar.emitted += s.emitted;
@@ -2114,7 +2132,7 @@ mod tests {
         let mut sink_scalar = FoldSink::default();
         let mut scalar = VmStats::default();
         for exports in batch {
-            let s = vm_scalar.run(code, exports, &mut bag_scalar, &mut sink_scalar);
+            let s = vm_scalar.run_batch(code, &[exports], &mut bag_scalar, &mut sink_scalar);
             scalar.unpacked += s.unpacked;
             scalar.packed += s.packed;
             scalar.emitted += s.emitted;
@@ -2279,9 +2297,9 @@ mod tests {
         let mut bag = Baggage::new();
         let mut vm = Vm::new();
         let mut sink = CollectSink::default();
-        vm.run(
+        vm.run_batch(
             &packer,
-            &[("procName", Value::str("HGet"))],
+            &[&[("procName", Value::str("HGet"))]],
             &mut bag,
             &mut sink,
         );
@@ -2296,6 +2314,11 @@ mod tests {
             &[("other", Value::I64(1))],
         ];
         assert_batch_matches_scalar(&emitter, &batch, &bag);
+        // And the empty batch is a no-op.
+        let mut vm = Vm::new();
+        let stats = vm.run_batch(&emitter, &[], &mut bag.clone(), &mut sink);
+        assert_eq!((stats.unpacked, stats.packed, stats.emitted), (0, 0, 0));
+        assert_eq!(vm.ops(), 0);
     }
 
     #[test]
@@ -2351,25 +2374,5 @@ mod tests {
         ];
         let batch: Vec<&[(&str, Value)]> = exports.iter().map(|e| e.as_slice()).collect();
         assert_batch_matches_scalar(&code, &batch, &Baggage::new());
-    }
-
-    #[test]
-    fn run_batch_of_one_equals_run() {
-        let slot = QueryId(300);
-        let code = lower_program(&emit_side(slot)).code;
-        let mut bag = Baggage::new();
-        bag.pack(
-            slot,
-            &PackMode::All,
-            [Tuple::from_iter([Value::str("HGet")])],
-        );
-        let batch: Vec<&[(&str, Value)]> = vec![&[("delta", Value::I64(7))]];
-        assert_batch_matches_scalar(&code, &batch, &bag);
-        // And the empty batch is a no-op.
-        let mut vm = Vm::new();
-        let mut sink = CollectSink::default();
-        let stats = vm.run_batch(&code, &[], &mut bag.clone(), &mut sink);
-        assert_eq!((stats.unpacked, stats.packed, stats.emitted), (0, 0, 0));
-        assert_eq!(vm.ops(), 0);
     }
 }

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use pivot_bench::{flag, flag_usize, print_table};
 use pivot_chaos::sim::run_kv;
 use pivot_chaos::FaultConfig;
-use pivot_core::ProcessInfo;
+use pivot_core::{Ledger, ProcessInfo};
 use pivot_live::service::define_kv_tracepoints;
 use pivot_live::{ConnStatus, LiveAgent, LiveFrontend, ReconnectPolicy};
 
@@ -198,14 +198,13 @@ struct SimSummary {
     duplicated: u64,
     delayed: u64,
     crashes: u64,
-    emitted: u64,
-    delivered: u64,
+    tuples: Ledger,
     balanced: bool,
 }
 
 /// Deterministic fault-injection sweep: aggregate injector activity over
-/// `seeds` seed-derived schedules and check the accounting identity
-/// `emitted == delivered + dropped + crash_lost` held for all of them.
+/// `seeds` seed-derived schedules and check that each run's tuple ledger
+/// balanced.
 fn sim_summary(seeds: u64) -> SimSummary {
     let mut s = SimSummary {
         seeds,
@@ -213,8 +212,7 @@ fn sim_summary(seeds: u64) -> SimSummary {
         duplicated: 0,
         delayed: 0,
         crashes: 0,
-        emitted: 0,
-        delivered: 0,
+        tuples: Ledger::default(),
         balanced: true,
     };
     for seed in 0..seeds {
@@ -223,9 +221,8 @@ fn sim_summary(seeds: u64) -> SimSummary {
         s.duplicated += out.chaos.reports_duplicated;
         s.delayed += out.chaos.reports_delayed;
         s.crashes += out.crashes;
-        s.emitted += out.emitted;
-        s.delivered += out.loss.tuples_delivered;
-        s.balanced &= out.balanced();
+        s.tuples += out.tuples;
+        s.balanced &= out.tuples.check().is_ok();
     }
     s
 }
@@ -276,8 +273,8 @@ fn render_json(
         sim.duplicated,
         sim.delayed,
         sim.crashes,
-        sim.emitted,
-        sim.delivered,
+        sim.tuples.emitted,
+        sim.tuples.delivered,
         sim.balanced
     ));
     s.push_str("}\n");

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use pivot_baggage::Baggage;
-use pivot_bench::{flag, flag_usize, print_table};
+use pivot_bench::{flag, flag_usize, print_table, run_threads};
 use pivot_core::interp::{self, EmitRows};
 use pivot_core::{Agent, Frontend, ProcessInfo};
 use pivot_live::service::define_kv_tracepoints;
@@ -250,22 +250,6 @@ fn client_exports() -> [(&'static str, Value); 6] {
         ("procname", Value::str("kvserver")),
         ("tracepoint", Value::str("KvClient.issueRequest")),
     ]
-}
-
-/// Runs `f(iters)` (which returns its own timed nanoseconds) on `threads`
-/// OS threads concurrently; returns mean ns/op.
-fn run_threads(threads: usize, iters: u64, f: impl Fn(u64) -> u64 + Sync) -> f64 {
-    // Untimed warmup pass on one thread to fault in code and allocators.
-    f(iters / 20 + 1);
-    let total: u64 = std::thread::scope(|s| {
-        (0..threads)
-            .map(|_| s.spawn(|| f(iters)))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("bench thread panicked"))
-            .sum()
-    });
-    total as f64 / (threads as f64 * iters as f64)
 }
 
 /// Folds an interp emit batch into the shared group map — the same

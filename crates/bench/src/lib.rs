@@ -94,6 +94,22 @@ pub fn flag_u64(name: &str, default: u64) -> u64 {
     flag(name).and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+/// Runs `f(iters)` (which returns its own timed nanoseconds) on `threads`
+/// OS threads concurrently; returns mean ns/op.
+pub fn run_threads(threads: usize, iters: u64, f: impl Fn(u64) -> u64 + Sync) -> f64 {
+    // Untimed warmup pass on one thread to fault in code and allocators.
+    f(iters / 20 + 1);
+    let total: u64 = std::thread::scope(|s| {
+        (0..threads)
+            .map(|_| s.spawn(|| f(iters)))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().expect("bench thread panicked"))
+            .sum()
+    });
+    total as f64 / (threads as f64 * iters as f64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

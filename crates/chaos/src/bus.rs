@@ -4,8 +4,8 @@
 //! frames crossing it: report frames can be dropped, duplicated, or held
 //! for later (delays double as partitions and limplock); command frames
 //! can be duplicated or held, never dropped. Everything the injector does
-//! is tallied in [`ChaosStats`], whose `tuples_dropped` is the ground
-//! truth the frontend's per-query loss accounting is checked against.
+//! is tallied in [`ChaosStats`], whose `tuples_dropped` is the `dropped`
+//! term of the harnesses' ground-truth [`pivot_core::Ledger`].
 //!
 //! The delivery *mechanics* — pending frames, release deadlines, the
 //! tallies themselves — live in [`pivot_core::SchedBus`]; this module

@@ -14,8 +14,9 @@
 //!   [`pivot_core::Bus`] (local, simulated cluster, or live TCP), with
 //!   [`ChaosStats`] tallying exactly what was injected.
 //! - [`sim`] — a scripted two-process KV workload with crash/restart and
-//!   epoch re-sync, returning a [`sim::RunOutcome`] whose loss-accounting
-//!   identity must balance exactly.
+//!   epoch re-sync, returning outcomes whose ground-truth
+//!   [`pivot_core::Ledger`]s must pass `Ledger::check` exactly; the
+//!   injector's [`ChaosStats`] supply their `dropped` terms.
 //!
 //! The recovery machinery this crate exercises lives in `pivot-core`
 //! (report sequence numbers, incarnations, `Agent::sync`, the frontend's

@@ -8,32 +8,25 @@
 //! re-syncs the installed-query set through [`pivot_core::Agent::sync`],
 //! exactly mirroring the live runtime's epoch re-sync after reconnect.
 //!
-//! Every run returns a [`RunOutcome`] whose accounting identity
-//!
-//! ```text
-//! emitted == loss.tuples_delivered + chaos.tuples_dropped + crash_lost
-//! ```
-//!
-//! must balance exactly: each emitted tuple was either delivered to the
-//! frontend, dropped on the report path (and tallied by the injector), or
-//! died unflushed in a crash (and tallied by the harness).
+//! Every run returns an outcome whose ground-truth `tuples` [`Ledger`]
+//! must pass [`Ledger::check`]: each emitted tuple was delivered to the
+//! frontend, dropped on the report path (tallied by the injector), died
+//! unflushed in a crash (tallied by the harness), or was shed by a
+//! row-capped buffer.
 //!
 //! [`run_kv_overload`] extends the scenario with the overload fault
 //! family — tracepoint storms and group-key explosions from
 //! [`FaultConfig::overload_for_seed`] — under tight explicit
-//! [`QueryBudget`]s and small row caps, and its [`OverloadOutcome`]
-//! extends the identity with the governor's ledger:
-//!
-//! ```text
-//! emitted == delivered + chaos.tuples_dropped + crash_lost + governor_shed
-//! ```
+//! [`QueryBudget`]s and small row caps, so the `shed` term is real.
+//! [`run_kv_retro`] turns hindsight recording on and books the rings'
+//! raw events in a second, `events` ledger.
 
 use std::sync::Arc;
 
 use pivot_baggage::{Baggage, QueryId};
 use pivot_core::{
-    set_trace, Agent, Bus, Frontend, LocalBus, LossStats, ProcessInfo, QueryBudget, ResultRow,
-    RetroLossStats, Throttled, TriggerKind,
+    set_trace, Agent, Bus, Frontend, Ledger, LocalBus, LossStats, ProcessInfo, QueryBudget,
+    ResultRow, RetroLossStats, Throttled, TriggerKind,
 };
 use pivot_model::Value;
 
@@ -67,21 +60,11 @@ pub struct RunOutcome {
     pub loss: LossStats,
     /// The injector's tallies.
     pub chaos: ChaosStats,
-    /// Ground-truth tuples emitted, summed over every shard/client agent
+    /// Ground-truth tuple books, summed over every shard/client agent
     /// incarnation.
-    pub emitted: u64,
-    /// Tuples that died unflushed when an agent crashed.
-    pub crash_lost: u64,
+    pub tuples: Ledger,
     /// Agent crash/restart cycles the schedule triggered.
     pub crashes: u64,
-}
-
-impl RunOutcome {
-    /// Whether the loss-accounting identity balances exactly (see the
-    /// module docs).
-    pub fn balanced(&self) -> bool {
-        self.emitted == self.loss.tuples_delivered + self.chaos.tuples_dropped + self.crash_lost
-    }
 }
 
 fn shard_info() -> ProcessInfo {
@@ -143,8 +126,7 @@ pub fn run_kv_burst(
         Bus::broadcast(&chaos, &cmd);
     }
 
-    let mut emitted = 0u64;
-    let mut crash_lost = 0u64;
+    let mut tuples = Ledger::default();
     let mut crashes = 0u64;
 
     for i in 0..requests {
@@ -192,10 +174,8 @@ pub fn run_kv_burst(
                 // emission counter is the last word of this incarnation,
                 // and whatever it had not flushed is lost for good.
                 crashes += 1;
-                emitted += shard.emitted_for(qid);
-                for report in shard.flush(now) {
-                    crash_lost += report.tuples;
-                }
+                tuples.add_agent(&shard, &[qid]);
+                tuples.add_crash_flush(&shard, now);
                 chaos.inner_mut().unregister(&shard);
                 // Restart: fresh incarnation, same process identity. The
                 // replacement re-syncs the full installed-query set from
@@ -211,15 +191,18 @@ pub fn run_kv_burst(
 
     // Convergence: stop injecting, release held frames, final flush.
     chaos.settle_into((requests + 2) * STEP_NS, &mut fe);
-    emitted += shard.emitted_for(qid) + client.emitted_for(qid);
+    tuples.add_agent(&shard, &[qid]);
+    tuples.add_agent(&client, &[qid]);
 
     let res = fe.results(&handle);
+    let (loss, stats) = (res.loss(), chaos.stats());
+    tuples.delivered = loss.tuples_delivered;
+    tuples.dropped = stats.tuples_dropped;
     RunOutcome {
         rows: res.rows(),
-        loss: res.loss(),
-        chaos: chaos.stats(),
-        emitted,
-        crash_lost,
+        loss,
+        chaos: stats,
+        tuples,
         crashes,
     }
 }
@@ -251,14 +234,9 @@ pub struct OverloadOutcome {
     pub throttles: (Vec<Throttled>, Vec<Throttled>),
     /// The injector's tallies.
     pub chaos: ChaosStats,
-    /// Ground-truth tuples emitted, summed over both queries and every
-    /// agent incarnation.
-    pub emitted: u64,
-    /// Tuples that died unflushed when an agent crashed.
-    pub crash_lost: u64,
-    /// Tuples the governor shed at the row-capped buffers, ground truth
-    /// summed over agents, queries, and incarnations.
-    pub governor_shed: u64,
+    /// Ground-truth tuple books over both queries and every agent
+    /// incarnation; `shed` is what the governor's row caps shed.
+    pub tuples: Ledger,
     /// Packed tuples dropped by the `PackMode::All` hard cap.
     pub truncated: u64,
     /// Circuit-breaker trips, ground truth summed over agents, queries,
@@ -269,20 +247,6 @@ pub struct OverloadOutcome {
     /// Largest per-query row buffer observed on the shard at any step —
     /// bounded-buffering means this never exceeds [`OVERLOAD_ROW_CAP`].
     pub max_buffered: usize,
-}
-
-impl OverloadOutcome {
-    /// The extended loss identity: every emitted tuple was either
-    /// delivered to the frontend, dropped in transit (injector tally),
-    /// lost unflushed in a crash, or shed by the governor's row caps.
-    pub fn balanced(&self) -> bool {
-        self.emitted
-            == self.loss.0.tuples_delivered
-                + self.loss.1.tuples_delivered
-                + self.chaos.tuples_dropped
-                + self.crash_lost
-                + self.governor_shed
-    }
 }
 
 /// Runs `requests` steps of the overload workload — tracepoint storms,
@@ -349,9 +313,7 @@ pub fn run_kv_overload(seed: u64, cfg: FaultConfig, requests: u64) -> OverloadOu
         Bus::broadcast(&chaos, &cmd);
     }
 
-    let mut emitted = 0u64;
-    let mut crash_lost = 0u64;
-    let mut governor_shed = 0u64;
+    let mut tuples = Ledger::default();
     let mut truncated = 0u64;
     let mut trips = 0u64;
     let mut crashes = 0u64;
@@ -435,15 +397,12 @@ pub fn run_kv_overload(seed: u64, cfg: FaultConfig, requests: u64) -> OverloadOu
                 // word — fold them into the ground truth before the
                 // restart resets every counter.
                 crashes += 1;
+                tuples.add_agent(&shard, &queries);
                 for q in queries {
-                    emitted += shard.emitted_for(q);
-                    governor_shed += shard.shed_for(q);
                     truncated += shard.truncated_for(q);
                     trips += u64::from(shard.trips_for(q));
                 }
-                for report in shard.flush(now) {
-                    crash_lost += report.tuples;
-                }
+                tuples.add_crash_flush(&shard, now);
                 chaos.inner_mut().unregister(&shard);
                 // Restart: the replacement re-syncs the query set *and*
                 // the budget set, mirroring the live epoch re-sync.
@@ -459,23 +418,24 @@ pub fn run_kv_overload(seed: u64, cfg: FaultConfig, requests: u64) -> OverloadOu
     }
 
     chaos.settle_into((requests + 2) * STEP_NS, &mut fe);
+    tuples.add_agent(&shard, &queries);
+    tuples.add_agent(&client, &queries);
     for q in queries {
-        emitted += shard.emitted_for(q) + client.emitted_for(q);
-        governor_shed += shard.shed_for(q) + client.shed_for(q);
         truncated += shard.truncated_for(q) + client.truncated_for(q);
         trips += u64::from(shard.trips_for(q)) + u64::from(client.trips_for(q));
     }
 
     let gres = fe.results(&grouped);
     let sres = fe.results(&stream);
+    let (loss, stats) = ((gres.loss(), sres.loss()), chaos.stats());
+    tuples.delivered = loss.0.tuples_delivered + loss.1.tuples_delivered;
+    tuples.dropped = stats.tuples_dropped;
     OverloadOutcome {
         grouped_rows: gres.rows(),
-        loss: (gres.loss(), sres.loss()),
+        loss,
         throttles: (gres.throttles(), sres.throttles()),
-        chaos: chaos.stats(),
-        emitted,
-        crash_lost,
-        governor_shed,
+        chaos: stats,
+        tuples,
         truncated,
         trips,
         crashes,
@@ -515,24 +475,16 @@ pub struct RetroOutcome {
     pub retro: RetroLossStats,
     /// The injector's tallies (retro frames included).
     pub chaos: ChaosStats,
-    /// Ground-truth tuples emitted, summed over both queries and every
-    /// agent incarnation.
-    pub emitted: u64,
-    /// Tuples that died unflushed when an agent crashed.
-    pub crash_lost: u64,
+    /// Ground-truth tuple books over both queries and every agent
+    /// incarnation.
+    pub tuples: Ledger,
+    /// Ground-truth books of the raw events recorded into retro rings,
+    /// over every agent incarnation (`emitted` counts recorded events;
+    /// `crash_lost` the ring-resident or flushed-but-undrained events
+    /// that died with a crashing incarnation).
+    pub events: Ledger,
     /// Agent crash/restart cycles the schedule triggered.
     pub crashes: u64,
-    /// Ground-truth raw events recorded into retro rings, summed over
-    /// every agent incarnation.
-    pub retro_recorded: u64,
-    /// Ground-truth events overwritten (or sealed) in rings before any
-    /// trigger claimed them.
-    pub retro_sampled_out: u64,
-    /// Ground-truth events shed from bounded pending-report queues.
-    pub retro_shed: u64,
-    /// Ground-truth events (ring-resident or flushed-but-undrained) that
-    /// died with a crashing agent incarnation.
-    pub retro_crash_lost: u64,
     /// Retro reports that reached the trigger query's results.
     pub advice_reports: usize,
     /// Retro reports from non-query triggers (latency outliers, fault
@@ -541,31 +493,6 @@ pub struct RetroOutcome {
     /// Largest ring occupancy observed on any agent at any step —
     /// bounded recording means this never exceeds [`RETRO_RING_CAP`].
     pub max_ring: usize,
-}
-
-impl RetroOutcome {
-    /// The ordinary tuple identity, summed over both installed queries.
-    pub fn balanced(&self) -> bool {
-        self.emitted
-            == self.loss.0.tuples_delivered
-                + self.loss.1.tuples_delivered
-                + self.chaos.tuples_dropped
-                + self.crash_lost
-    }
-
-    /// The extended hindsight identity: every raw event recorded into any
-    /// ring was either delivered to the frontend inside a retro report,
-    /// dropped in transit (injector tally), overwritten before a trigger
-    /// wanted it, shed from a bounded pending queue, or died with a
-    /// crashing incarnation. Exact — no slack term.
-    pub fn retro_balanced(&self) -> bool {
-        self.retro_recorded
-            == self.retro.events_delivered
-                + self.chaos.retro_events_dropped
-                + self.retro_sampled_out
-                + self.retro_shed
-                + self.retro_crash_lost
-    }
 }
 
 /// Runs `requests` KV operations with hindsight recording on — a
@@ -577,7 +504,7 @@ impl RetroOutcome {
 /// The crash choreography is deliberately adversarial to the retro path:
 /// the harness fires the fault trigger first and *then* kills the shard,
 /// so the flushed report dies in the pending queue and its events must
-/// come back out of `retro_crash_lost`, not vanish.
+/// come back out of the `events` ledger's `crash_lost`, not vanish.
 pub fn run_kv_retro(seed: u64, cfg: FaultConfig, requests: u64) -> RetroOutcome {
     let plan = FaultPlan::new(seed, cfg);
     let mut fe = Frontend::new();
@@ -611,13 +538,9 @@ pub fn run_kv_retro(seed: u64, cfg: FaultConfig, requests: u64) -> RetroOutcome 
         a.set_retro_latency_threshold(RETRO_LATENCY_THRESHOLD);
     }
 
-    let mut emitted = 0u64;
-    let mut crash_lost = 0u64;
+    let mut tuples = Ledger::default();
+    let mut events = Ledger::default();
     let mut crashes = 0u64;
-    let mut retro_recorded = 0u64;
-    let mut retro_sampled_out = 0u64;
-    let mut retro_shed = 0u64;
-    let mut retro_crash_lost = 0u64;
     let mut max_ring = 0usize;
 
     for i in 0..requests {
@@ -667,17 +590,10 @@ pub fn run_kv_retro(seed: u64, cfg: FaultConfig, requests: u64) -> RetroOutcome 
                 // The fault site asks for hindsight, then the process dies
                 // before the report drains: those events are crash loss.
                 shard.trigger_retro(TriggerKind::Fault, 0, now);
-                for q in queries {
-                    emitted += shard.emitted_for(q);
-                }
-                for report in shard.flush(now) {
-                    crash_lost += report.tuples;
-                }
-                let rc = shard.retro_counters();
-                retro_recorded += rc.recorded;
-                retro_sampled_out += rc.sampled_out;
-                retro_shed += rc.shed;
-                retro_crash_lost += shard.retro_unflushed();
+                tuples.add_agent(&shard, &queries);
+                tuples.add_crash_flush(&shard, now);
+                events.add_ring(shard.retro_counters());
+                events.crash_lost += shard.retro_unflushed();
                 chaos.inner_mut().unregister(&shard);
                 let fresh = Arc::new(Agent::new(shard_info()));
                 // The epoch re-sync re-arms retro (the trigger query is
@@ -694,33 +610,30 @@ pub fn run_kv_retro(seed: u64, cfg: FaultConfig, requests: u64) -> RetroOutcome 
     }
 
     chaos.settle_into((requests + 2) * STEP_NS, &mut fe);
-    for q in queries {
-        emitted += shard.emitted_for(q) + client.emitted_for(q);
-    }
+    tuples.add_agent(&shard, &queries);
+    tuples.add_agent(&client, &queries);
     // Graceful end-of-life for the surviving incarnations: everything
     // deliverable has drained through `settle_into`; sealing accounts the
     // leftovers (unclaimed ring events become `sampled_out`).
     for a in [&shard, &client] {
-        let rc = a.retro_seal();
-        retro_recorded += rc.recorded;
-        retro_sampled_out += rc.sampled_out;
-        retro_shed += rc.shed;
+        events.add_ring(a.retro_seal());
     }
 
     let gres = fe.results(&grouped);
     let tres = fe.results(&trigger);
+    let (loss, retro, stats) = ((gres.loss(), tres.loss()), fe.retro_loss(), chaos.stats());
+    tuples.delivered = loss.0.tuples_delivered + loss.1.tuples_delivered;
+    tuples.dropped = stats.tuples_dropped;
+    events.delivered = retro.events_delivered;
+    events.dropped = stats.retro_events_dropped;
     RetroOutcome {
         rows: gres.rows(),
-        loss: (gres.loss(), tres.loss()),
-        retro: fe.retro_loss(),
-        chaos: chaos.stats(),
-        emitted,
-        crash_lost,
+        loss,
+        retro,
+        chaos: stats,
+        tuples,
+        events,
         crashes,
-        retro_recorded,
-        retro_sampled_out,
-        retro_shed,
-        retro_crash_lost,
         advice_reports: tres.retro().len(),
         orphan_reports: fe.retro_orphans().len(),
         max_ring,
@@ -735,12 +648,12 @@ mod tests {
     fn fault_free_run_is_exact() {
         let out = run_kv(0, FaultConfig::off(), 128);
         assert_eq!(out.rows.len(), 128);
-        assert_eq!(out.emitted, 128);
+        assert_eq!(out.tuples.emitted, 128);
         assert_eq!(out.loss.tuples_delivered, 128);
         assert_eq!(out.loss.tuples_dropped, 0);
         assert_eq!(out.loss.reports_missed, 0);
         assert_eq!(out.crashes, 0);
-        assert!(out.balanced());
+        assert_eq!(out.tuples.check(), Ok(()));
         // COUNT == 1 and SUM(bytes) == the scripted value for each request.
         for (i, row) in out.rows.iter().enumerate() {
             assert_eq!(row.values[0], Value::str(format!("req-{i:05}")));
@@ -752,18 +665,18 @@ mod tests {
     #[test]
     fn overload_off_run_is_exact_and_bounded() {
         let out = run_kv_overload(0, FaultConfig::off(), 128);
-        assert!(out.balanced(), "identity violated: {out:?}");
+        assert_eq!(out.tuples.check(), Ok(()), "{out:?}");
         // No storms, no explosions, no crashes: one request per step
         // never reaches a budget rail or a row cap, so the governor is
         // pure observation and the run is exact.
         assert_eq!(out.crashes, 0);
-        assert_eq!(out.crash_lost, 0);
+        assert_eq!(out.tuples.crash_lost, 0);
         assert_eq!(out.chaos.tuples_dropped, 0);
         assert_eq!(out.trips, 0);
         assert_eq!(out.truncated, 0);
-        assert_eq!(out.governor_shed, 0);
+        assert_eq!(out.tuples.shed, 0);
         // One grouped + one streaming tuple per request.
-        assert_eq!(out.emitted, 256);
+        assert_eq!(out.tuples.emitted, 256);
         assert_eq!(out.grouped_rows.len(), 128);
         // Buffers drain every flush, so at most one interval's rows are
         // ever resident — far below the cap without a storm.
@@ -778,13 +691,13 @@ mod tests {
     #[test]
     fn retro_fault_free_run_is_exact() {
         let out = run_kv_retro(0, FaultConfig::off(), 256);
-        assert!(out.balanced(), "tuple identity violated: {out:?}");
-        assert!(out.retro_balanced(), "retro identity violated: {out:?}");
+        assert_eq!(out.tuples.check(), Ok(()), "{out:?}");
+        assert_eq!(out.events.check(), Ok(()), "{out:?}");
         assert_eq!(out.crashes, 0);
-        assert_eq!(out.retro_crash_lost, 0);
+        assert_eq!(out.events.crash_lost, 0);
         assert_eq!(out.chaos.retro_events_dropped, 0);
         // Two agents, one recorded raw event each per request.
-        assert_eq!(out.retro_recorded, 2 * 256);
+        assert_eq!(out.events.emitted, 2 * 256);
         // Both trigger families fired and their reports arrived: advice
         // triggers route to the trigger query, latency outliers are
         // query-unscoped and land in the orphan pool.
@@ -795,18 +708,14 @@ mod tests {
         // Bounded recording: the ring never outgrew its cap, and the
         // overwritten remainder is accounted as sampled_out, not lost.
         assert!(out.max_ring <= RETRO_RING_CAP, "{out:?}");
-        assert!(out.retro_sampled_out > 0);
-        assert_eq!(
-            out.retro_recorded,
-            out.retro.events_delivered + out.retro_sampled_out + out.retro_shed
-        );
+        assert!(out.events.sampled_out > 0);
     }
 
     #[test]
     fn retro_chaotic_run_balances() {
         let out = run_kv_retro(7, FaultConfig::for_seed(7), 256);
-        assert!(out.balanced(), "tuple identity violated: {out:?}");
-        assert!(out.retro_balanced(), "retro identity violated: {out:?}");
+        assert_eq!(out.tuples.check(), Ok(()), "{out:?}");
+        assert_eq!(out.events.check(), Ok(()), "{out:?}");
         assert!(out.max_ring <= RETRO_RING_CAP);
     }
 
@@ -814,7 +723,7 @@ mod tests {
     fn chaotic_run_balances_and_is_a_subset() {
         let baseline = run_kv(11, FaultConfig::off(), 256);
         let out = run_kv(11, FaultConfig::for_seed(11), 256);
-        assert!(out.balanced(), "accounting identity violated: {out:?}");
+        assert_eq!(out.tuples.check(), Ok(()), "{out:?}");
         for row in &out.rows {
             assert!(
                 baseline.rows.contains(row),

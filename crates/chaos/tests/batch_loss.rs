@@ -2,13 +2,8 @@
 //!
 //! The batched Vm path changes *how* woven advice executes and when the
 //! agent's buffers fold — never what is emitted, delivered, dropped, or
-//! lost. This sweep re-proves the accounting identity
-//!
-//! ```text
-//! emitted == delivered + chaos.tuples_dropped + crash_lost
-//! ```
-//!
-//! with each request's shard burst driven through `Agent::invoke_batch`,
+//! lost. This sweep re-checks the tuple ledger (`Ledger::check`) with
+//! each request's shard burst driven through `Agent::invoke_batch`,
 //! and pins the stronger property that the batched run's *entire
 //! converged outcome* — surviving rows, loss books, injector tallies,
 //! crash counts — equals the per-event `invoke` run of the identical
@@ -46,8 +41,9 @@ fn seed_list() -> Vec<u64> {
 fn batched_fault_free_baseline_matches_scalar() {
     let scalar = run_kv_burst(0, FaultConfig::off(), REQUESTS, BURST, false);
     let batched = run_kv_burst(0, FaultConfig::off(), REQUESTS, BURST, true);
-    assert!(scalar.balanced() && batched.balanced());
-    assert_eq!(scalar.emitted, REQUESTS * BURST);
+    assert_eq!(scalar.tuples.check(), Ok(()));
+    assert_eq!(batched.tuples.check(), Ok(()));
+    assert_eq!(scalar.tuples.emitted, REQUESTS * BURST);
     assert_eq!(scalar, batched, "fault-free outcomes diverge");
 }
 
@@ -58,15 +54,9 @@ fn batched_sweep_balances_and_matches_scalar() {
     for &seed in &seeds {
         let cfg = FaultConfig::for_seed(seed);
         let batched = run_kv_burst(seed, cfg, REQUESTS, BURST, true);
-        assert!(
-            batched.balanced(),
-            "CHAOS_SEED={seed}: batched identity violated: emitted={} delivered={} \
-             dropped={} crash_lost={}",
-            batched.emitted,
-            batched.loss.tuples_delivered,
-            batched.chaos.tuples_dropped,
-            batched.crash_lost
-        );
+        if let Err(e) = batched.tuples.check() {
+            panic!("CHAOS_SEED={seed}: batched identity violated: {e}");
+        }
 
         let scalar = run_kv_burst(seed, cfg, REQUESTS, BURST, false);
         assert_eq!(

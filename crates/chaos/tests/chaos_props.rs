@@ -8,8 +8,8 @@
 //! 2. Differential correctness: every row that survives the faults equals
 //!    the fault-free baseline row for the same request id (faults may lose
 //!    results, never corrupt them).
-//! 3. The loss-accounting identity balances exactly:
-//!    `emitted == delivered + dropped_by_injector + lost_in_crashes`.
+//! 3. The tuple ledger balances exactly (`Ledger::check`): every emitted
+//!    tuple was delivered, dropped by the injector, or lost in a crash.
 //! 4. Duplicate suppression and gap detection agree with what the
 //!    injector actually did.
 //!
@@ -42,7 +42,7 @@ fn seed_list() -> Vec<u64> {
 fn chaos_sweep_holds_all_invariants() {
     let baseline = run_kv(0, FaultConfig::off(), REQUESTS);
     assert_eq!(baseline.rows.len(), REQUESTS as usize);
-    assert!(baseline.balanced());
+    assert_eq!(baseline.tuples.check(), Ok(()));
 
     let seeds = seed_list();
     let mut faulty_runs = 0u64;
@@ -50,15 +50,9 @@ fn chaos_sweep_holds_all_invariants() {
         let out = run_kv(seed, FaultConfig::for_seed(seed), REQUESTS);
 
         // (3) Exact tuple conservation.
-        assert!(
-            out.balanced(),
-            "CHAOS_SEED={seed}: accounting identity violated: emitted={} delivered={} \
-             injector_dropped={} crash_lost={}",
-            out.emitted,
-            out.loss.tuples_delivered,
-            out.chaos.tuples_dropped,
-            out.crash_lost,
-        );
+        if let Err(e) = out.tuples.check() {
+            panic!("CHAOS_SEED={seed}: accounting identity violated: {e}");
+        }
 
         // (2) Surviving rows match the fault-free run, joined on request id.
         for row in &out.rows {
@@ -86,7 +80,7 @@ fn chaos_sweep_holds_all_invariants() {
         // (4c) Degradation flags fire iff something was actually lost.
         if out.chaos.reports_dropped == 0 && out.crashes == 0 {
             assert_eq!(
-                out.loss.tuples_delivered, out.emitted,
+                out.loss.tuples_delivered, out.tuples.emitted,
                 "CHAOS_SEED={seed}: lossless schedule lost tuples"
             );
         }
@@ -123,7 +117,7 @@ fn heavy_loss_still_balances() {
     let mut detected = 0;
     for seed in 0..32u64 {
         let out = run_kv(seed, cfg, REQUESTS);
-        assert!(out.balanced(), "CHAOS_SEED={seed}: {out:?}");
+        assert_eq!(out.tuples.check(), Ok(()), "CHAOS_SEED={seed}: {out:?}");
         detected += u64::from(out.loss.is_degraded());
     }
     // The frontend's loss view is a lower bound: an incarnation whose

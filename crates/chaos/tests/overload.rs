@@ -6,9 +6,8 @@
 //! properties that make overload protection *honest*:
 //!
 //! 1. No panic, ever, under any schedule.
-//! 2. The extended loss identity balances exactly:
-//!    `emitted == delivered + dropped_by_injector + crash_lost +
-//!    governor_shed` — shedding is accounted, never silent.
+//! 2. The tuple ledger balances exactly, its `shed` term included —
+//!    shedding is accounted, never silent.
 //! 3. Bounded buffering: no per-query row buffer ever exceeds its cap,
 //!    no matter how hard the storm blows.
 //! 4. The frontend's view of shedding, truncation, and throttling is a
@@ -54,17 +53,9 @@ fn overload_sweep_balances_and_stays_bounded() {
         let out = run_kv_overload(seed, FaultConfig::overload_for_seed(seed), REQUESTS);
 
         // (2) Exact tuple conservation, shedding included.
-        assert!(
-            out.balanced(),
-            "CHAOS_SEED={seed}: extended identity violated: emitted={} delivered=({}, {}) \
-             injector_dropped={} crash_lost={} governor_shed={}",
-            out.emitted,
-            out.loss.0.tuples_delivered,
-            out.loss.1.tuples_delivered,
-            out.chaos.tuples_dropped,
-            out.crash_lost,
-            out.governor_shed,
-        );
+        if let Err(e) = out.tuples.check() {
+            panic!("CHAOS_SEED={seed}: extended identity violated: {e}");
+        }
 
         // (3) Bounded buffering under arbitrary storm pressure.
         assert!(
@@ -76,9 +67,9 @@ fn overload_sweep_balances_and_stays_bounded() {
         // (4) Frontend-visible tallies never exceed agent ground truth.
         let fe_shed = out.loss.0.tuples_shed + out.loss.1.tuples_shed;
         assert!(
-            fe_shed <= out.governor_shed,
+            fe_shed <= out.tuples.shed,
             "CHAOS_SEED={seed}: frontend saw {fe_shed} shed tuples, agents shed {}",
-            out.governor_shed,
+            out.tuples.shed,
         );
         let fe_truncated = out.loss.0.tuples_truncated + out.loss.1.tuples_truncated;
         assert!(
@@ -98,7 +89,7 @@ fn overload_sweep_balances_and_stays_bounded() {
         }
 
         tripped_runs += u64::from(out.trips > 0);
-        shed_runs += u64::from(out.governor_shed > 0);
+        shed_runs += u64::from(out.tuples.shed > 0);
         truncated_runs += u64::from(out.truncated > 0);
     }
 

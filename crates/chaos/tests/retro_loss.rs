@@ -7,12 +7,12 @@
 //! hindsight data stays as honest as the report path it rides:
 //!
 //! 1. No panic, ever, under any schedule.
-//! 2. The extended identity balances *exactly*, crash and partition
+//! 2. The event ledger balances *exactly*, crash and partition
 //!    included: every raw event recorded into any ring is delivered,
 //!    dropped-by-injector, sampled out of the ring, shed from a pending
 //!    queue, or crash-lost — with no slack term.
-//! 3. The ordinary tuple identity still balances with retro on: the
-//!    hindsight path must not perturb report accounting.
+//! 3. The tuple ledger still balances with retro on: the hindsight path
+//!    must not perturb report accounting.
 //! 4. Frontend retro dedup agrees with what the injector duplicated, and
 //!    accepted reports equal exactly the frames the injector let through.
 //! 5. Rings stay bounded: occupancy never exceeds the configured cap.
@@ -45,7 +45,8 @@ fn seed_list() -> Vec<u64> {
 #[test]
 fn retro_sweep_identity_is_exact() {
     let baseline = run_kv_retro(0, FaultConfig::off(), REQUESTS);
-    assert!(baseline.balanced() && baseline.retro_balanced());
+    assert_eq!(baseline.tuples.check(), Ok(()));
+    assert_eq!(baseline.events.check(), Ok(()));
 
     let seeds = seed_list();
     let mut faulty_runs = 0u64;
@@ -56,23 +57,14 @@ fn retro_sweep_identity_is_exact() {
         let out = run_kv_retro(seed, FaultConfig::for_seed(seed), REQUESTS);
 
         // (2) Exact event conservation across the hindsight path.
-        assert!(
-            out.retro_balanced(),
-            "CHAOS_SEED={seed}: retro identity violated: recorded={} delivered={} \
-             injector_dropped={} sampled_out={} shed={} crash_lost={}",
-            out.retro_recorded,
-            out.retro.events_delivered,
-            out.chaos.retro_events_dropped,
-            out.retro_sampled_out,
-            out.retro_shed,
-            out.retro_crash_lost,
-        );
+        if let Err(e) = out.events.check() {
+            panic!("CHAOS_SEED={seed}: retro identity violated: {e}");
+        }
 
         // (3) The ordinary tuple identity survives retro being on.
-        assert!(
-            out.balanced(),
-            "CHAOS_SEED={seed}: tuple identity violated with retro on: {out:?}"
-        );
+        if let Err(e) = out.tuples.check() {
+            panic!("CHAOS_SEED={seed}: tuple identity violated with retro on: {e}");
+        }
 
         // (4) Cross-ledger agreement, frame by frame: the frontend
         // suppressed exactly the duplicates the injector created, and
@@ -111,7 +103,7 @@ fn retro_sweep_identity_is_exact() {
         retro_faulted_runs += u64::from(
             out.chaos.retro_dropped + out.chaos.retro_delayed + out.chaos.retro_duplicated > 0,
         );
-        retro_crash_lost_runs += u64::from(out.retro_crash_lost > 0);
+        retro_crash_lost_runs += u64::from(out.events.crash_lost > 0);
     }
     // The sweep must actually exercise the interesting regimes, not
     // vacuously pass: most seeds inject faults, and a healthy share hit
@@ -155,10 +147,10 @@ fn retro_heavy_loss_still_balances() {
     let mut retro_crash_lost_somewhere = false;
     for seed in 0..32u64 {
         let out = run_kv_retro(seed, cfg, REQUESTS);
-        assert!(out.balanced(), "CHAOS_SEED={seed}: {out:?}");
-        assert!(out.retro_balanced(), "CHAOS_SEED={seed}: {out:?}");
+        assert_eq!(out.tuples.check(), Ok(()), "CHAOS_SEED={seed}: {out:?}");
+        assert_eq!(out.events.check(), Ok(()), "CHAOS_SEED={seed}: {out:?}");
         retro_dropped_somewhere |= out.chaos.retro_events_dropped > 0;
-        retro_crash_lost_somewhere |= out.retro_crash_lost > 0;
+        retro_crash_lost_somewhere |= out.events.crash_lost > 0;
     }
     assert!(
         retro_dropped_somewhere && retro_crash_lost_somewhere,

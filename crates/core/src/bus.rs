@@ -151,8 +151,8 @@ pub struct Report {
     /// including the ones in this report.
     pub emitted_cum: u64,
     /// Cumulative tuples this incarnation's governor shed from bounded
-    /// buffers (emitted but intentionally never delivered; extends the
-    /// loss identity with a `governor_shed` term).
+    /// buffers (emitted but intentionally never delivered; the `shed`
+    /// term of the loss [`crate::Ledger`]).
     pub shed_cum: u64,
     /// Cumulative tuples truncated by the baggage `All`-cap for this query
     /// on this incarnation (never emitted; informational, so the frontend

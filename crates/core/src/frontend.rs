@@ -14,6 +14,7 @@ use pivot_query::{
 
 use crate::bus::{Command, Report, ReportRows};
 use crate::governor::{QueryBudget, Throttled};
+use crate::ledger::SeqWindow;
 use crate::retro::RetroReport;
 use crate::tracepoint::TracepointDef;
 
@@ -82,11 +83,7 @@ impl LossStats {
 /// Loss tracking for one reporting agent incarnation.
 #[derive(Clone, Default, Debug)]
 struct SourceTrack {
-    /// Every sequence number below this has been received.
-    next_contig: u64,
-    /// Received sequence numbers at or above `next_contig` (out-of-order
-    /// arrivals awaiting their predecessors).
-    pending: std::collections::BTreeSet<u64>,
+    window: SeqWindow,
     accepted: u64,
     duplicates: u64,
     delivered_tuples: u64,
@@ -95,41 +92,18 @@ struct SourceTrack {
     truncated_cum: u64,
 }
 
-impl SourceTrack {
-    /// Records `seq`; returns `false` when it is a duplicate.
-    fn record(&mut self, seq: u64) -> bool {
-        if seq < self.next_contig || !self.pending.insert(seq) {
-            self.duplicates += 1;
-            return false;
-        }
-        while self.pending.remove(&self.next_contig) {
-            self.next_contig += 1;
-        }
-        self.accepted += 1;
-        true
-    }
-
-    /// Sequence numbers known to exist (some later seq arrived) but never
-    /// received.
-    fn missed(&self) -> u64 {
-        match self.pending.iter().next_back() {
-            Some(max) => (max + 1 - self.next_contig) - self.pending.len() as u64,
-            None => 0,
-        }
-    }
-}
-
 /// Identity of one reporting agent incarnation.
 type SourceKey = (String, u64, u64);
 
 /// Retro-flush loss accounting, aggregated over every reporting agent
 /// (see [`Frontend::retro_loss`]).
 ///
-/// The retro identity mirrors the tuple identity: per agent ring,
-/// `recorded == delivered + sampled_out + shed + outstanding`, where
-/// `outstanding` covers events still buffered in a live ring, lost in a
-/// crash, or dropped by the transport — the embedding harness (e.g. the
-/// chaos simulator) distinguishes those three with its own ground truth.
+/// These are the frontend's side of the event books (see
+/// [`crate::Ledger`]): what arrived, and the rings' own recorded,
+/// sampled-out and shed counters as last reported. The rest of
+/// `recorded` is still in a ring or in flight, crash-lost, or dropped by
+/// the transport; only the embedding harness's ground truth tells those
+/// apart.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct RetroLossStats {
     /// Retro reports merged into the results.
@@ -148,9 +122,6 @@ pub struct RetroLossStats {
     /// Events shed from the bounded pending-report queue (max cumulative
     /// counter per incarnation, summed).
     pub events_shed: u64,
-    /// `recorded - delivered - sampled_out - shed`: events still in
-    /// flight, still ring-resident, crash-lost, or transport-dropped.
-    pub events_outstanding: u64,
 }
 
 /// Retro dedup + cumulative-counter tracking for one agent incarnation.
@@ -204,11 +175,13 @@ impl QueryResults {
             .sources
             .entry((report.host.clone(), report.procid, report.incarnation))
             .or_default();
-        if !track.record(report.seq) {
+        if !track.window.record(report.seq) {
             // A duplicated report frame: merging it again would double
             // count every aggregate, so it is suppressed here.
+            track.duplicates += 1;
             return;
         }
+        track.accepted += 1;
         track.delivered_tuples += report.tuples;
         track.emitted_cum = track.emitted_cum.max(report.emitted_cum);
         track.shed_cum = track.shed_cum.max(report.shed_cum);
@@ -257,7 +230,7 @@ impl QueryResults {
         for track in self.sources.values() {
             loss.reports_accepted += track.accepted;
             loss.reports_duplicate += track.duplicates;
-            loss.reports_missed += track.missed();
+            loss.reports_missed += track.window.missed();
             loss.tuples_delivered += track.delivered_tuples;
             loss.tuples_emitted += track.emitted_cum;
             loss.tuples_shed += track.shed_cum;
@@ -637,9 +610,7 @@ impl Frontend {
     }
 
     /// Retro-flush loss accounting aggregated over every agent
-    /// incarnation that has reported: the frontend's side of the
-    /// extended identity `recorded == delivered + sampled_out + shed +
-    /// outstanding`.
+    /// incarnation that has reported.
     pub fn retro_loss(&self) -> RetroLossStats {
         let mut loss = RetroLossStats::default();
         for track in self.retro_sources.values() {
@@ -650,11 +621,6 @@ impl Frontend {
             loss.events_sampled_out += track.sampled_out_cum;
             loss.events_shed += track.shed_cum;
         }
-        loss.events_outstanding = loss
-            .events_recorded
-            .saturating_sub(loss.events_delivered)
-            .saturating_sub(loss.events_sampled_out)
-            .saturating_sub(loss.events_shed);
         loss
     }
 
@@ -731,8 +697,8 @@ impl Frontend {
                     format!(
                         "{host}/{procid}/{}:{}|{:?}|{}|{}|{}|{}|{}|{}",
                         remap_incarnation(*inc),
-                        t.next_contig,
-                        t.pending,
+                        t.window.next,
+                        t.window.pending,
                         t.accepted,
                         t.duplicates,
                         t.delivered_tuples,

@@ -35,6 +35,7 @@ pub mod frontend;
 pub mod global;
 pub mod governor;
 pub mod interp;
+pub mod ledger;
 pub mod mutation;
 pub mod retro;
 pub mod tracepoint;
@@ -46,6 +47,7 @@ pub use bus::{
 };
 pub use frontend::{Frontend, LossStats, QueryHandle, QueryResults, ResultRow, RetroLossStats};
 pub use governor::{QueryBudget, ThrottleReason, ThrottleStats, Throttled};
+pub use ledger::{Imbalance, Ledger, SeqWindow};
 pub use retro::{
     set_trace, trace_of, RetroCounters, RetroEvent, RetroReport, TriggerKind, TRACE_SLOT,
 };

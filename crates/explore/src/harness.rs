@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 
 use pivot_baggage::{Baggage, QueryId};
 use pivot_core::{
-    Agent, Bus, Command, Frontend, HeldFrame, ProcessInfo, QueryHandle, Report, SchedBus,
+    Agent, Bus, Command, Frontend, HeldFrame, Ledger, ProcessInfo, QueryHandle, Report, SchedBus,
     Scheduler, Verdict,
 };
 use pivot_model::Value;
@@ -89,8 +89,8 @@ struct PendingSync {
 /// The protocol invariants the explorer checks on every schedule.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Invariant {
-    /// Terminal: `emitted != delivered + shed + dropped + crash_lost` —
-    /// tuples vanished without any loss tally.
+    /// Terminal: the tuple [`Ledger`] fails [`Ledger::check`] — tuples
+    /// vanished without any loss tally (or were counted twice).
     LossIdentity,
     /// An agent has a query woven while that query's circuit breaker is
     /// open (an epoch re-sync undid a trip).
@@ -182,10 +182,9 @@ pub struct Execution {
     /// Monotonicity baseline: (slot, gen) → last observed trip count.
     trips_seen: HashMap<(usize, u64), u32>,
     last_epoch: u64,
-    /// Ground-truth tallies for the terminal loss identity.
-    emitted_dead: u64,
-    shed_dead: u64,
-    crash_lost: u64,
+    /// Ground-truth books of the crashed incarnations, for the terminal
+    /// loss identity.
+    dead: Ledger,
 }
 
 impl Execution {
@@ -220,9 +219,7 @@ impl Execution {
             next_step: 0,
             trips_seen: HashMap::new(),
             last_epoch: 0,
-            emitted_dead: 0,
-            shed_dead: 0,
-            crash_lost: 0,
+            dead: Ledger::default(),
         }
     }
 
@@ -502,14 +499,11 @@ impl Execution {
     fn crash(&mut self, slot: usize, now: u64) {
         let old = self.links[slot].agent();
         if let Some(handle) = &self.handle {
-            self.emitted_dead += old.emitted_for(handle.id);
-            self.shed_dead += old.shed_for(handle.id);
+            self.dead.add_agent(&old, &[handle.id]);
         }
-        for report in old.flush(now) {
-            // Flushed at the moment of death but never offered to the
-            // bus: these tuples are the ground truth for `crash_lost`.
-            self.crash_lost += report.tuples;
-        }
+        // Flushed at the moment of death but never offered to the bus:
+        // these tuples are the ground truth for `crash_lost`.
+        self.dead.add_crash_flush(&old, now);
         let agent = fresh_agent(slot);
         self.links[slot].gen += 1;
         self.incarnations
@@ -597,30 +591,16 @@ impl Execution {
     /// deceived) view.
     pub fn terminal_check(&self) -> Option<(Invariant, String)> {
         let handle = self.handle.as_ref()?;
-        let loss = self.fe.results(handle).loss();
-        let mut emitted = self.emitted_dead;
-        let mut shed = self.shed_dead;
-        let mut dropped = 0u64;
+        let mut books = self.dead;
+        books.delivered = self.fe.results(handle).loss().tuples_delivered;
         for link in &self.links {
-            let a = link.agent();
-            emitted += a.emitted_for(handle.id);
-            shed += a.shed_for(handle.id);
-            dropped += link.bus.stats().tuples_dropped;
+            books.add_agent(&link.agent(), &[handle.id]);
+            books.dropped += link.bus.stats().tuples_dropped;
         }
-        let accounted = loss.tuples_delivered + shed + dropped + self.crash_lost;
-        if emitted != accounted {
-            return Some((
-                Invariant::LossIdentity,
-                format!(
-                    "emitted {emitted} != delivered {} + shed {shed} + dropped {dropped} \
-                     + crash_lost {} ({} unaccounted)",
-                    loss.tuples_delivered,
-                    self.crash_lost,
-                    emitted.abs_diff(accounted),
-                ),
-            ));
-        }
-        None
+        books
+            .check()
+            .err()
+            .map(|e| (Invariant::LossIdentity, e.to_string()))
     }
 
     /// A digest of the whole configuration state — frontend, agents,
@@ -657,11 +637,7 @@ impl Execution {
         let mut syncs: Vec<(usize, u64)> =
             self.pending_syncs.iter().map(|p| (p.agent, p.n)).collect();
         syncs.sort_unstable();
-        let _ = write!(
-            s,
-            "y{syncs:?};t{}|{}|{}",
-            self.emitted_dead, self.shed_dead, self.crash_lost
-        );
+        let _ = write!(s, "y{syncs:?};t{:?}", self.dead);
         crate::fnv64(s.as_bytes())
     }
 }

@@ -31,7 +31,7 @@ pub const TICK: u64 = 1_000_000;
 pub const QUERY: &str = "From e In Exec GroupBy e.k Select e.k, SUM(e.v)";
 
 /// Per-query cap on buffered rows: small enough that the storm step
-/// sheds, exercising the `governor_shed` term of the loss identity.
+/// sheds, exercising the `shed` term of the loss ledger.
 pub const ROW_CAP: usize = 8;
 
 /// Number of scripted workload steps (transitions `Step(0..STEPS)`).

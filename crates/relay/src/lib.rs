@@ -20,13 +20,14 @@
 //! # Envelope re-origination
 //!
 //! Loss accounting must keep balancing through the tree: the frontend's
-//! identity `emitted == delivered + governor_shed + dropped` (per
-//! source), and the harness-level
-//! `emitted == delivered + dropped + crash_lost + governor_shed`. A
-//! relay therefore *re-originates* the envelope: upstream reports carry
-//! the relay's own (host, procid, incarnation, seq) identity, and its
-//! cumulative counters are sums of **baseline-relative deltas** over the
-//! downstream sources it has heard from:
+//! per-source [`pivot_core::LossStats`] (whatever was emitted and
+//! neither delivered nor shed counts as dropped), and the ground-truth
+//! [`pivot_core::Ledger`] every harness checks, whose `stale` and
+//! `crash_lost` terms a relay feeds. A relay therefore *re-originates*
+//! the envelope: upstream reports carry the relay's own (host, procid,
+//! incarnation, seq) identity, and its cumulative counters are sums of
+//! **baseline-relative deltas** over the downstream sources it has heard
+//! from:
 //!
 //! - On first contact with a source (first report `r` accepted), the
 //!   relay baselines `emitted_cum = r.emitted_cum - r.tuples`,
@@ -43,7 +44,8 @@
 //!   overtaken by a relay restart) are refused and tallied in
 //!   [`RelayStats::tuples_stale`]: their tuples left every ledger, and
 //!   hiding that would fake the books. Duplicate frames at-or-after the
-//!   baseline are suppressed exactly like the frontend suppresses them.
+//!   baseline are suppressed by the same [`pivot_core::SeqWindow`] the
+//!   frontend uses.
 //!
 //! A relay crash loses its open window; [`Relay::restart`] surfaces that
 //! as a [`CrashResidue`] the embedding folds into its `crash_lost`
@@ -62,7 +64,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use pivot_baggage::QueryId;
-use pivot_core::{Bus, Command, ProcessInfo, Report, ReportRows, RetroReport, Throttled};
+use pivot_core::{
+    Bus, Command, ProcessInfo, Report, ReportRows, RetroReport, SeqWindow, Throttled,
+};
 use pivot_model::{colblock, AggState, EncodedBlock, GroupKey, Tuple};
 use pivot_query::{merge_grouped, OutputSpec};
 
@@ -137,10 +141,8 @@ struct SourceState {
     /// The seq this relay incarnation first accepted from the source;
     /// anything earlier is stale (see [`RelayStats::tuples_stale`]).
     baseline_seq: u64,
-    /// Every seq in `baseline_seq..next_contig` has been received.
-    next_contig: u64,
-    /// Received seqs at or above `next_contig` (out-of-order arrivals).
-    pending: BTreeSet<u64>,
+    /// Seqs received at or after `baseline_seq`.
+    window: SeqWindow,
     /// Stale seqs already counted, so a duplicated stale frame is not
     /// double-tallied. Bounded by the frames in flight at a restart.
     stale_seen: BTreeSet<u64>,
@@ -295,8 +297,7 @@ impl RelayCore {
         let key = (report.host, report.procid, report.incarnation);
         let src = window.sources.entry(key).or_insert_with(|| SourceState {
             baseline_seq: report.seq,
-            next_contig: report.seq,
-            pending: BTreeSet::new(),
+            window: SeqWindow::starting_at(report.seq),
             stale_seen: BTreeSet::new(),
             emitted_latest: report.emitted_cum.saturating_sub(report.tuples),
             shed_latest: report.shed_cum,
@@ -312,12 +313,9 @@ impl RelayCore {
             }
             return;
         }
-        if report.seq < src.next_contig || !src.pending.insert(report.seq) {
+        if !src.window.record(report.seq) {
             st.stats.reports_duplicate += 1;
             return;
-        }
-        while src.pending.remove(&src.next_contig) {
-            src.next_contig += 1;
         }
         // Max-latch the cumulative counters and roll the deltas into the
         // window's running sums (reports can arrive out of order, so a

@@ -9,7 +9,7 @@
 use std::time::{Duration, Instant};
 
 use pivot_baggage::Baggage;
-use pivot_core::{ProcessInfo, QueryHandle};
+use pivot_core::{Ledger, ProcessInfo, QueryHandle};
 use pivot_live::{tracepoint, ConnStatus, LiveAgent, LiveFrontend};
 use pivot_model::Value;
 use pivot_relay::live::RelayServer;
@@ -227,11 +227,17 @@ fn relay_crash_mid_window_surfaces_residue_and_recovers() {
     let loss = fe.results(&handle).loss();
     assert_eq!(loss.tuples_delivered, 34);
     assert_eq!(loss.tuples_dropped, 0, "no silent transport loss");
-    assert_eq!(
-        44,
-        loss.tuples_delivered + residue.window_tuples + loss.tuples_dropped,
-        "emitted == delivered + crash_lost"
-    );
+    let mut books = Ledger {
+        delivered: loss.tuples_delivered,
+        dropped: loss.tuples_dropped,
+        crash_lost: residue.window_tuples,
+        ..Ledger::default()
+    };
+    for agent in &agents {
+        books.add_agent(agent.agent(), &[handle.id]);
+    }
+    assert_eq!(books.emitted, 44);
+    assert_eq!(books.check(), Ok(()));
 
     for agent in &agents {
         agent.shutdown();

@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use pivot_baggage::Baggage;
-use pivot_core::{Agent, Bus, Frontend, LocalBus, ProcessInfo, QueryHandle, Report};
+use pivot_core::{Agent, Bus, Frontend, Ledger, LocalBus, ProcessInfo, QueryHandle, Report};
 use pivot_model::Value;
 use pivot_relay::{FanIn, Relay, RelayCore};
 
@@ -233,7 +233,13 @@ fn stale_frame_after_relay_restart_surfaces_as_loss() {
     );
     // The harness-level ground truth: everything the agent emitted is
     // either delivered or explicitly surfaced as stale loss.
-    assert_eq!(4, loss.tuples_delivered + stats.tuples_stale);
+    let books = Ledger {
+        emitted: 4,
+        delivered: loss.tuples_delivered,
+        stale: stats.tuples_stale,
+        ..Ledger::default()
+    };
+    assert_eq!(books.check(), Ok(()));
 }
 
 /// A relay crash destroys the open (absorbed but unflushed) window; the
@@ -270,7 +276,13 @@ fn crash_residue_accounts_the_open_window() {
     assert_eq!(total(&fe, &handle), 2);
     assert_eq!(loss.tuples_dropped, 0, "the new incarnation balances");
     // Ground truth: 5 emitted = 2 delivered + 3 crash-lost residue.
-    assert_eq!(5, loss.tuples_delivered + residue.window_tuples);
+    let books = Ledger {
+        emitted: 5,
+        delivered: loss.tuples_delivered,
+        crash_lost: residue.window_tuples,
+        ..Ledger::default()
+    };
+    assert_eq!(books.check(), Ok(()));
 }
 
 /// Governor `Throttled` notices from below are forwarded one per

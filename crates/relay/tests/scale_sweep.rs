@@ -1,13 +1,10 @@
 //! The 1000-agent simulated sweep: a two-hop relay tree (1000 agents →
 //! 10 leaf relays → 1 root relay → frontend) with seeded chaos on every
 //! link, relay crashes mid-window at both tiers, and governor-style shed
-//! at the leaves. The acceptance bar is the *exact* ground-truth loss
-//! identity across the whole run:
-//!
-//! ```text
-//! Σ agent emitted == fe delivered + Σ link dropped + Σ relay stale
-//!                  + Σ crash residue + Σ agent shed
-//! ```
+//! at the leaves. The acceptance bar is that the ground-truth tuple and
+//! event [`Ledger`]s pass `Ledger::check` across the whole run: relay
+//! crash residue is their `crash_lost`, relay stale refusals their
+//! `stale`, link drops their `dropped`.
 //!
 //! Every tuple an agent ever emitted lands in exactly one bucket; nothing
 //! leaks through the tree even when relays die with open windows and the
@@ -26,7 +23,7 @@ use std::sync::Arc;
 
 use pivot_baggage::Baggage;
 use pivot_chaos::{ChaosBus, FaultConfig, FaultPlan};
-use pivot_core::{Agent, Bus, Frontend, LocalBus, ProcessInfo, QueryHandle, TriggerKind};
+use pivot_core::{Agent, Bus, Frontend, Ledger, LocalBus, ProcessInfo, QueryHandle, TriggerKind};
 use pivot_model::Value;
 use pivot_relay::{FanIn, Relay};
 
@@ -160,23 +157,12 @@ fn crash_root(root: &Tree, t: u64) -> (u64, u64) {
 }
 
 struct SweepOutcome {
-    delivered: u64,
-    dropped: u64,
-    stale: u64,
-    residue: u64,
-    shed: u64,
-    emitted: u64,
+    tuples: Ledger,
+    /// Hindsight events: `emitted` is recorded (from agent seals), `shed`
+    /// covers agent pending queues and relay pass-through queues alike.
+    events: Ledger,
     frames_fe: u64,
     agent_frames: u64,
-    /// The extended identity's hindsight terms, ground truth on the left
-    /// (`recorded` from agent seals) and the buckets on the right.
-    retro_recorded: u64,
-    retro_delivered: u64,
-    retro_dropped: u64,
-    retro_sampled_out: u64,
-    retro_shed: u64,
-    retro_relay_shed: u64,
-    retro_residue: u64,
 }
 
 fn run_sweep(seed: u64) -> SweepOutcome {
@@ -229,8 +215,8 @@ fn run_sweep(seed: u64) -> SweepOutcome {
         assert!(agent.registry().has_query(sq.id));
     }
 
-    let mut residue = 0u64;
-    let mut retro_residue = 0u64;
+    let mut tuples = Ledger::default();
+    let mut events = Ledger::default();
     for round in 0..ROUNDS {
         for (i, agent) in agents.iter().enumerate() {
             let gkey = if i % 2 == 0 { "g0" } else { "g1" };
@@ -265,20 +251,20 @@ fn run_sweep(seed: u64) -> SweepOutcome {
             let (lost, retro_lost) = crash_leaf(&root, 2, t);
             assert!(lost > 0, "leaf crash destroyed an open window");
             assert!(retro_lost > 0, "leaf crash destroyed queued retro frames");
-            residue += lost;
-            retro_residue += retro_lost;
+            tuples.crash_lost += lost;
+            events.crash_lost += retro_lost;
         }
         if round == 5 {
             let (lost, retro_lost) = crash_root(&root, t);
             assert!(lost > 0, "root crash destroyed an open window");
-            residue += lost;
-            retro_residue += retro_lost;
+            tuples.crash_lost += lost;
+            events.crash_lost += retro_lost;
         }
         if round == 7 {
             let (lost, retro_lost) = crash_leaf(&root, 6, t);
             assert!(lost > 0, "second leaf crash destroyed an open window");
-            residue += lost;
-            retro_residue += retro_lost;
+            tuples.crash_lost += lost;
+            events.crash_lost += retro_lost;
         }
         frames_fe += drain_into(&root, &mut fe, t);
         t += ROUND_NS;
@@ -311,32 +297,24 @@ fn run_sweep(seed: u64) -> SweepOutcome {
     }
     assert_eq!(root.core().buffered_tuples(), 0, "root window flushed");
 
-    let mut dropped = 0u64;
-    let mut stale = root.core().stats().tuples_stale;
     let mut agent_frames = 0u64;
-    let mut retro_dropped = 0u64;
-    let mut retro_relay_shed = root.core().stats().retro_events_shed;
+    tuples.stale = root.core().stats().tuples_stale;
+    events.shed = root.core().stats().retro_events_shed;
     for child in root.inner().children() {
-        dropped += child.stats().tuples_dropped;
-        dropped += child.inner().inner().stats().tuples_dropped;
-        stale += child.inner().core().stats().tuples_stale;
+        tuples.dropped += child.stats().tuples_dropped;
+        tuples.dropped += child.inner().inner().stats().tuples_dropped;
+        tuples.stale += child.inner().core().stats().tuples_stale;
         agent_frames += child.inner().core().stats().reports_in;
-        retro_dropped += child.stats().retro_events_dropped;
-        retro_dropped += child.inner().inner().stats().retro_events_dropped;
-        retro_relay_shed += child.inner().core().stats().retro_events_shed;
+        events.dropped += child.stats().retro_events_dropped;
+        events.dropped += child.inner().inner().stats().retro_events_dropped;
+        events.shed += child.inner().core().stats().retro_events_shed;
     }
 
     // Graceful end-of-life for the hindsight rings: everything
     // deliverable drained above; sealing accounts the leftovers
     // (unclaimed ring events become `sampled_out`).
-    let mut retro_recorded = 0u64;
-    let mut retro_sampled_out = 0u64;
-    let mut retro_shed = 0u64;
     for agent in &retro_agents {
-        let rc = agent.retro_seal();
-        retro_recorded += rc.recorded;
-        retro_sampled_out += rc.sampled_out;
-        retro_shed += rc.shed;
+        events.add_ring(agent.retro_seal());
     }
 
     let loss_g = fe.results(&gq).loss();
@@ -360,28 +338,16 @@ fn run_sweep(seed: u64) -> SweepOutcome {
         "every delivered raw row survives the hops"
     );
 
+    tuples.delivered = loss_g.tuples_delivered + loss_s.tuples_delivered;
+    for agent in &agents {
+        tuples.add_agent(agent, &[gq.id, sq.id]);
+    }
+    events.delivered = fe.retro_loss().events_delivered;
     SweepOutcome {
-        delivered: loss_g.tuples_delivered + loss_s.tuples_delivered,
-        dropped,
-        stale,
-        residue,
-        shed: agents
-            .iter()
-            .map(|a| a.shed_for(gq.id) + a.shed_for(sq.id))
-            .sum(),
-        emitted: agents
-            .iter()
-            .map(|a| a.emitted_for(gq.id) + a.emitted_for(sq.id))
-            .sum(),
+        tuples,
+        events,
         frames_fe,
         agent_frames,
-        retro_recorded,
-        retro_delivered: fe.retro_loss().events_delivered,
-        retro_dropped,
-        retro_sampled_out,
-        retro_shed,
-        retro_relay_shed,
-        retro_residue,
     }
 }
 
@@ -396,50 +362,32 @@ fn thousand_agent_sweep_balances_exactly() {
     let mut total_retro_dropped = 0u64;
     for seed in [0x51ee9, 0xb0b5, 0x7a11] {
         let o = run_sweep(seed);
-        assert_eq!(
-            o.emitted,
-            o.delivered + o.dropped + o.stale + o.residue + o.shed,
-            "seed {seed:#x}: emitted {} != delivered {} + dropped {} + stale {} \
-             + residue {} + shed {}",
-            o.emitted,
-            o.delivered,
-            o.dropped,
-            o.stale,
-            o.residue,
-            o.shed,
-        );
+        if let Err(e) = o.tuples.check() {
+            panic!("seed {seed:#x}: tuple identity violated: {e}");
+        }
         // The extended hindsight identity through both relay hops: every
         // raw event recorded into any ring lands in exactly one bucket.
-        assert_eq!(
-            o.retro_recorded,
-            o.retro_delivered
-                + o.retro_dropped
-                + o.retro_sampled_out
-                + o.retro_shed
-                + o.retro_relay_shed
-                + o.retro_residue,
-            "seed {seed:#x}: retro recorded {} != delivered {} + dropped {} \
-             + sampled_out {} + shed {} + relay_shed {} + residue {}",
-            o.retro_recorded,
-            o.retro_delivered,
-            o.retro_dropped,
-            o.retro_sampled_out,
-            o.retro_shed,
-            o.retro_relay_shed,
-            o.retro_residue,
-        );
-        assert!(o.residue > 0, "seed {seed:#x}: crashes hit open windows");
-        assert!(o.shed > 0, "seed {seed:#x}: the shed term is exercised");
+        if let Err(e) = o.events.check() {
+            panic!("seed {seed:#x}: retro identity violated: {e}");
+        }
         assert!(
-            o.retro_delivered > 0,
+            o.tuples.crash_lost > 0,
+            "seed {seed:#x}: crashes hit open windows"
+        );
+        assert!(
+            o.tuples.shed > 0,
+            "seed {seed:#x}: the shed term is exercised"
+        );
+        assert!(
+            o.events.delivered > 0,
             "seed {seed:#x}: hindsight data reached the frontend"
         );
         assert!(
-            o.retro_sampled_out > 0,
+            o.events.sampled_out > 0,
             "seed {seed:#x}: ring wraparound is exercised at scale"
         );
         assert!(
-            o.retro_residue > 0,
+            o.events.crash_lost > 0,
             "seed {seed:#x}: relay crashes destroyed queued retro frames"
         );
         assert!(
@@ -448,8 +396,8 @@ fn thousand_agent_sweep_balances_exactly() {
             o.agent_frames,
             o.frames_fe
         );
-        total_dropped += o.dropped;
-        total_retro_dropped += o.retro_dropped;
+        total_dropped += o.tuples.dropped;
+        total_retro_dropped += o.events.dropped;
     }
     assert!(total_dropped > 0, "the sweep exercised real transport loss");
     assert!(
